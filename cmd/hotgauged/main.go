@@ -51,7 +51,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	queue := flag.Int("queue", 16, "job queue capacity (full queue returns 429)")
 	workers := flag.Int("workers", 1, "jobs executed concurrently")
-	runWorkers := flag.Int("run-workers", 0, "sim workers per job (0 = GOMAXPROCS)")
+	runWorkers := flag.Int("run-workers", 0, "runs simulated at once, daemon-wide (0 = GOMAXPROCS)")
 	cacheMB := flag.Int("cache-mb", 64, "result cache budget in MiB")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline for in-flight jobs")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-time limit; an exceeding run fails alone (0 = unlimited)")

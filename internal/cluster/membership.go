@@ -179,8 +179,7 @@ func (c *Coordinator) aliveLocked() int {
 }
 
 // AliveWorkers reports how many registered workers are currently live.
-// The serving layer consults it to decide whether a job fans out to the
-// cluster or runs on the local campaign path.
+// With none, Execute runs every run on the LocalExec fallback.
 func (c *Coordinator) AliveWorkers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

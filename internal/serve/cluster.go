@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -15,20 +14,20 @@ import (
 )
 
 // newCoordinator builds the server's cluster coordinator. Every daemon
-// gets one — a daemon with no registered workers is simply a cluster of
-// zero, its jobs running on the ordinary local campaign path — so
-// turning a single node into a coordinator is nothing more than
-// pointing workers at it. With a chaos profile configured, batch pushes
-// ride the fault-injecting transport, and every joining worker's name
-// and address are taught to it so partition schedules written against
-// worker names resolve their dynamically assigned ports.
+// gets one, and every cache miss runs through it — a daemon with no live
+// workers is simply a cluster of zero whose local executor simulates its
+// runs — so turning a single node into a coordinator is nothing more
+// than pointing workers at it. With a chaos profile configured, batch
+// pushes ride the fault-injecting transport, and every joining worker's
+// name and address are taught to it so partition schedules written
+// against worker names resolve their dynamically assigned ports.
 func (s *Server) newCoordinator() *cluster.Coordinator {
 	opts := cluster.CoordinatorOptions{
 		LeaseTTL:     s.opts.ClusterLeaseTTL,
 		Batch:        s.opts.ClusterBatch,
 		Registry:     s.reg,
 		OnLease:      s.journalLease,
-		LocalExec:    s.executeRemoteRun,
+		LocalExec:    s.simulate,
 		LocalWorkers: s.opts.RunWorkers,
 		RetrySeed:    s.opts.ChaosSeed,
 	}
@@ -80,7 +79,7 @@ func (s *Server) JoinCluster(coordinatorURL, name, selfURL string) error {
 		Name:        name,
 		Coordinator: coordinatorURL,
 		SelfURL:     selfURL,
-		Exec:        s.executeRemoteRun,
+		Exec:        s.executeForCoordinator,
 		Registry:    s.reg,
 		Concurrency: s.opts.RunWorkers,
 		RetrySeed:   s.opts.ChaosSeed,
@@ -137,15 +136,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	cw.HandleBatch(w, r)
 }
 
-// executeRemoteRun is the daemon's single-run executor, shared by its
-// worker half (runs pushed by a coordinator) and its coordinator half
-// (the no-workers-alive local fallback). It is the campaign path in
-// miniature: content-addressed cache lookup first, then a fully wrapped
-// simulation — checkpointer, fault injection, per-run timeout, retry
-// with explicit fallback — and the payload is cached and persisted
-// before it is returned, so the run's bytes are durable before the
-// coordinator resolves it.
-func (s *Server) executeRemoteRun(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
+// simulate is the daemon's one way to execute a run, and the
+// coordinator's local executor as it stands. It decodes the dispatched
+// spec, checks its content hash, attaches the checkpointer, applies
+// wrapCfg, runs it under the per-run deadline with retry and explicit
+// fallback, and marshals the RunView payload. It touches no cache, store
+// or journal: the job's gather callback (executeMisses) records the
+// result on the daemon that owns the job, and the worker half wraps it
+// with its own store (executeForCoordinator).
+func (s *Server) simulate(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
 	var spec ConfigSpec
 	if err := json.Unmarshal(run.Spec, &spec); err != nil {
 		return nil, fmt.Errorf("serve: undecodable run spec: %w", err)
@@ -161,61 +160,50 @@ func (s *Server) executeRemoteRun(ctx context.Context, run sim.RemoteRun) ([]byt
 	if h != run.Hash {
 		return nil, fmt.Errorf("serve: config hash mismatch: coordinator sent %s, this daemon computes %s (version skew?)", run.Hash, h)
 	}
-	if data, ok := s.lookupResult(h); ok {
-		s.mCached.Inc()
-		return data, nil
-	}
-
 	s.checkpointerFor(&cfg, h)
-	if s.opts.FaultRate > 0 {
-		cfg.Solver = s.flakySolver(cfg.Solver, int64(run.Index))
-	}
+	cfg.Obs = s.reg
+	cfg.MaxWallTime = s.opts.RunTimeout
 	if s.wrapCfg != nil {
 		cfg = s.wrapCfg(run.Index, cfg)
 	}
-
-	var payload []byte
-	var runErr error
-	_, _ = sim.CampaignCtx(ctx, []sim.Config{cfg}, sim.CampaignOptions{
-		Workers:    1,
-		Obs:        s.reg,
-		RunTimeout: s.opts.RunTimeout,
-		Retry: sim.RetryPolicy{
-			MaxAttempts:      s.opts.Retries + 1,
-			ExplicitFallback: true,
-		},
-		OnResult: func(_ int, r *sim.Result, err error) {
-			if err != nil {
-				runErr = err
-				return
-			}
-			payload, runErr = json.Marshal(newRunView(spec, h, r))
-		},
+	res, err := sim.RunWithRetry(ctx, cfg, sim.RetryPolicy{
+		MaxAttempts:      s.opts.Retries + 1,
+		ExplicitFallback: true,
 	})
-	if runErr != nil {
-		var rte *sim.RunTimeoutError
-		if errors.As(runErr, &rte) {
-			s.mTimeouts.Inc()
-		}
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
-	s.cache.Put(h, payload)
-	s.persistResult(h, payload)
 	s.mExecuted.Inc()
+	return json.Marshal(newRunView(spec, h, res))
+}
+
+// executeForCoordinator is the worker half's executor. A worker serves
+// its own store: it answers from its cache when it can, and otherwise
+// simulates and caches + persists the payload before returning it, so
+// the run's bytes are durable here before the coordinator resolves it.
+func (s *Server) executeForCoordinator(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
+	if data, ok := s.lookupResult(run.Hash); ok {
+		s.mCached.Inc()
+		return data, nil
+	}
+	payload, err := s.simulate(ctx, run)
+	if err != nil {
+		return nil, err
+	}
+	s.cache.Put(run.Hash, payload)
+	s.persistResult(run.Hash, payload)
 	return payload, nil
 }
 
-// runJobRemote fans a job's cache-missing runs out across the cluster
-// and gathers their results into the job exactly as the local campaign
-// path would: payloads persist to the content-addressed store, run
-// records journal after their bytes are durable, and per-run failures
-// land on their run alone. Runs cut short by cancellation or the job
-// deadline are "skipped" (they said nothing about their config), and a
-// worker-side per-run timeout counts in serve/timeouts here too.
-// decisions carries the triage decisions of the runs that reached exact
-// execution; audit-selected results are scored coordinator-side from
-// their gathered payloads (workers need not hold the model).
-func (s *Server) runJobRemote(ctx context.Context, j *Job, missIdx []int, decisions map[int]sim.TriageDecision) {
+// executeMisses sends a job's cache-missing runs through the
+// coordinator — to live cluster workers, or with none alive to the
+// daemon's own executor under its RunWorkers bound — and gathers each
+// outcome into the job. A payload is cached and persisted before its
+// run record is journaled, so replay never claims bytes it lost, and a
+// failure lands on its run alone (runFailed). audits carries the
+// audit-selected triage decisions, scored here from the gathered
+// payloads so workers need not hold the model.
+func (s *Server) executeMisses(ctx context.Context, j *Job, missIdx []int, audits map[int]sim.TriageDecision) {
 	runs := make([]sim.RemoteRun, len(missIdx))
 	for k, i := range missIdx {
 		specBytes, _ := json.Marshal(j.Specs[i])
@@ -226,39 +214,45 @@ func (s *Server) runJobRemote(ctx context.Context, j *Job, missIdx []int, decisi
 	_ = s.coord.Execute(ctx, runs, func(k int, payload []byte, err error) {
 		i := missIdx[k]
 		if err != nil {
-			skipped := errors.Is(err, context.Canceled) ||
-				errors.Is(err, context.DeadlineExceeded) ||
-				errors.Is(err, errJobTimeout)
-			var rre *sim.RemoteRunError
-			if errors.As(err, &rre) && rre.TimedOut {
-				s.mTimeouts.Inc()
-			}
-			var rte *sim.RunTimeoutError
-			if errors.As(err, &rte) {
-				s.mTimeouts.Inc()
-				skipped = false
-			}
-			j.setRunFailed(i, err, skipped)
-			if !skipped {
-				s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i,
-					State: RunFailed, Error: err.Error()})
-			}
+			s.runFailed(j, i, err)
 			return
 		}
-		if d, ok := decisions[i]; ok && d.Audit && d.Prediction != nil && s.triager != nil {
-			var v RunView
+		if d, ok := audits[i]; ok {
+			var v struct {
+				Severity []float64 `json:"severity"`
+			}
 			if json.Unmarshal(payload, &v) == nil && len(v.Severity) > 0 {
-				absErr := math.Abs(d.Prediction.Severity - seriesMax(v.Severity))
-				s.triager.RecordAuditError(absErr)
-				j.addAudit(absErr)
+				if absErr, scored := s.triager.ObserveAudit(d, seriesMax(v.Severity)); scored {
+					j.addAudit(absErr)
+				}
 			}
 		}
-		// The worker (or fallback executor) already persisted the payload
-		// under its own store; persist under ours too — the coordinator's
-		// store is the one result queries hit.
 		s.cache.Put(j.hashes[i], payload)
 		s.persistResult(j.hashes[i], payload)
 		j.setRunDone(i, payload)
 		s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i, State: RunDone})
 	})
+}
+
+// runFailed classifies a failed run and lands it on the job — the one
+// place run failures are classified, whichever daemon executed the run.
+// Runs cut by a campaign-wide cancellation (client cancel, drain, job
+// deadline) are skipped: they said nothing about their config and are
+// journaled only via the job's finished record. A per-run deadline — a
+// local *sim.RunTimeoutError or a worker's RemoteRunError.TimedOut — is
+// that run's own failure, and the only run event serve/timeouts counts.
+func (s *Server) runFailed(j *Job, i int, err error) {
+	var rte *sim.RunTimeoutError
+	var rre *sim.RemoteRunError
+	timedOut := errors.As(err, &rte) || (errors.As(err, &rre) && rre.TimedOut)
+	skipped := !timedOut && (errors.Is(err, context.Canceled) ||
+		errors.Is(err, context.DeadlineExceeded) ||
+		errors.Is(err, errJobTimeout))
+	if timedOut {
+		s.mTimeouts.Inc()
+	}
+	j.setRunFailed(i, err, skipped)
+	if !skipped {
+		s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i, State: RunFailed, Error: err.Error()})
+	}
 }

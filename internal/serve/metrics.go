@@ -25,7 +25,8 @@ const (
 	MetricJobsFailed    = "serve/jobs_failed"
 	MetricJobsCancelled = "serve/jobs_cancelled"
 
-	// MetricRunsExecuted counts runs actually simulated;
+	// MetricRunsExecuted counts runs actually simulated, on the daemon
+	// that simulated them (a cluster worker, or the job's own daemon);
 	// MetricRunsCached counts runs served from the result cache;
 	// MetricRunsPredicted counts runs resolved predicted-only by
 	// surrogate triage (the model-level surrogate/* counters live in the
@@ -39,8 +40,9 @@ const (
 	MetricQueueDepth   = "serve/queue_depth"
 	MetricInflightJobs = "serve/inflight_jobs"
 
-	// MetricTimeouts counts deadline hits on the serving path: runs cut
-	// by the per-run Options.RunTimeout and jobs cut by the job-level
+	// MetricTimeouts counts deadline hits on the serving path, once each
+	// and on the job's daemon: runs cut by the per-run Options.RunTimeout
+	// (wherever they ran) and jobs cut by the job-level
 	// Options.JobTimeout. Zero in a healthy deployment; the sim-layer
 	// fault counters (sim/panics, sim/retries, sim/timeouts) live in the
 	// same shared registry.

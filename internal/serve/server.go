@@ -32,7 +32,9 @@ type Options struct {
 	// Workers is the number of jobs executed concurrently (default 1:
 	// one campaign at a time, each spreading its runs across cores).
 	Workers int
-	// RunWorkers caps the per-job sim worker pool (0 = GOMAXPROCS).
+	// RunWorkers caps the runs this daemon simulates at once, across all
+	// of its jobs and, separately, across the runs it executes as a
+	// cluster worker (0 = GOMAXPROCS).
 	RunWorkers int
 	// CacheBytes is the result cache's payload budget (default 64 MiB).
 	CacheBytes int64
@@ -83,7 +85,8 @@ type Options struct {
 	// solver in a fault.FlakySolver injecting random panics, transient
 	// errors and stalls at this total per-step probability — the
 	// dev-only harness behind hotgauged -fault-rate that exercises the
-	// recovery paths end-to-end. Never enable in production.
+	// recovery paths end-to-end. New installs it behind the wrapCfg
+	// seam. Never enable in production.
 	FaultRate float64
 	// FaultSeed seeds the fault injection deterministically (per run:
 	// FaultSeed + run index).
@@ -162,10 +165,11 @@ type Server struct {
 	st        *store.Store
 	storeOnce sync.Once
 
-	// coord is this daemon's cluster coordinator — always present; with
-	// no registered workers it is a cluster of zero and jobs run on the
-	// local campaign path. cworker is the worker half, set by
-	// JoinCluster (guarded by mu).
+	// coord is this daemon's cluster coordinator — always present, and
+	// the only way a cache miss reaches the simulator: with no live
+	// workers it is a cluster of zero that runs every miss on its local
+	// executor. cworker is the worker half, set by JoinCluster (guarded
+	// by mu).
 	coord   *cluster.Coordinator
 	cworker *cluster.Worker
 	// chaosT is the fault-injecting transport every cluster RPC rides
@@ -197,9 +201,9 @@ type Server struct {
 	// in-flight deterministically. Returning an error cancels the job.
 	beforeRun func(ctx context.Context, j *Job) error
 	// wrapCfg, when non-nil, may rewrite a run's config just before
-	// execution — the test seam the fault-injection e2e uses to plant
-	// deterministic per-run faults (production injection goes through
-	// Options.FaultRate instead). i is the run's index within the job.
+	// execution: New installs Options.FaultRate's random injection here,
+	// and tests replace it to plant deterministic per-run faults. i is
+	// the run's index within its job.
 	wrapCfg func(i int, cfg sim.Config) sim.Config
 }
 
@@ -263,6 +267,9 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.Surrogate != nil {
 		s.triager = sim.NewTriager(sim.TriageOptions{Predictor: opts.Surrogate}, opts.Registry)
+	}
+	if opts.FaultRate > 0 {
+		s.wrapCfg = injectFaults(opts.FaultRate, opts.FaultSeed)
 	}
 	if opts.ChaosProfile != "" {
 		prof, err := chaos.ParseProfile(opts.ChaosProfile)
@@ -447,13 +454,14 @@ func (s *Server) worker() {
 // JobCancelled.
 var errJobTimeout = errors.New("serve: job exceeded its deadline")
 
-// runJob executes one job: a cache pass first, then a CampaignCtx over
-// the misses with per-run results streamed into the job (and the cache)
-// as they complete. Faults stay contained: a run that panics, diverges,
-// retries out, or trips its per-run deadline fails alone (sim.RunCtx
-// converts panics into per-run *PanicErrors), and the job-level
-// deadline cuts the whole campaign at the next step boundary — the
-// worker, and the daemon behind it, keep serving either way.
+// runJob executes one job: a cache pass first, then a triage pass, then
+// the remaining misses go through the coordinator (executeMisses) with
+// per-run results streamed into the job (and the cache) as they
+// complete. Faults stay contained: a run that panics, diverges, retries
+// out, or trips its per-run deadline fails alone (sim.RunCtx converts
+// panics into per-run *PanicErrors), and the job-level deadline cuts the
+// whole campaign at the next step boundary — the worker, and the daemon
+// behind it, keep serving either way.
 func (s *Server) runJob(j *Job) {
 	if j.ctx.Err() != nil || j.State().terminal() {
 		s.finishJob(j, JobCancelled, "cancelled while queued", s.mCancelled)
@@ -497,24 +505,29 @@ func (s *Server) runJob(j *Job) {
 	// below the hotspot threshold resolve as predicted-only results —
 	// cached, persisted and journaled like any other payload (their
 	// content hash includes the triage knobs, so they can never shadow an
-	// exact result's address) — and only the rest execute. Decisions for
-	// the exact runs are kept so their results can be audited against the
-	// predictions.
-	decisions := map[int]sim.TriageDecision{}
+	// exact result's address) — and only the rest execute. Audit-selected
+	// decisions are kept so their exact results can be scored against the
+	// predictions. A job holds specs only: the config is materialized for
+	// scoring and then dropped, and a spec that no longer materializes is
+	// left to fail in the executor.
+	audits := map[int]sim.TriageDecision{}
 	if s.triager != nil && len(missIdx) > 0 {
 		kept := missIdx[:0]
 		for _, i := range missIdx {
-			if !j.cfgs[i].Surrogate {
+			cfg, err := j.Specs[i].Config()
+			if err != nil || !cfg.Surrogate {
 				kept = append(kept, i)
 				continue
 			}
-			d := s.triager.Score(j.cfgs[i])
-			decisions[i] = d
+			d := s.triager.Score(cfg)
 			if d.ExactRun {
+				if d.Audit {
+					audits[i] = d
+				}
 				kept = append(kept, i)
 				continue
 			}
-			res := s.triager.PredictedResult(j.cfgs[i], d)
+			res := s.triager.PredictedResult(cfg, d)
 			data, merr := json.Marshal(newRunView(j.Specs[i], j.hashes[i], res))
 			if merr != nil {
 				kept = append(kept, i) // unrepresentable prediction: run exactly
@@ -529,87 +542,7 @@ func (s *Server) runJob(j *Job) {
 		missIdx = kept
 	}
 
-	// With live cluster workers the misses fan out across the cluster;
-	// otherwise (single node, or every worker died before pickup) they
-	// run on the local campaign path. A worker dying mid-fan-out does
-	// not fall back here — the coordinator reassigns its runs, and runs
-	// stranded with no survivors execute through its local executor.
-	if len(missIdx) > 0 && s.coord.AliveWorkers() > 0 {
-		s.runJobRemote(ctx, j, missIdx, decisions)
-	} else if len(missIdx) > 0 {
-		cfgs := make([]sim.Config, len(missIdx))
-		for k, i := range missIdx {
-			cfgs[k] = j.cfgs[i]
-			s.checkpointerFor(&cfgs[k], j.hashes[i])
-			if s.opts.FaultRate > 0 {
-				cfgs[k].Solver = s.flakySolver(cfgs[k].Solver, int64(i))
-			}
-			if s.wrapCfg != nil {
-				cfgs[k] = s.wrapCfg(i, cfgs[k])
-			}
-		}
-		// Per-run errors and results are captured via OnResult, so the
-		// joined campaign error is redundant here.
-		_, _ = sim.CampaignCtx(ctx, cfgs, sim.CampaignOptions{
-			Workers:    s.opts.RunWorkers,
-			Obs:        s.reg,
-			RunTimeout: s.opts.RunTimeout,
-			Retry: sim.RetryPolicy{
-				MaxAttempts:      s.opts.Retries + 1,
-				ExplicitFallback: true,
-			},
-			OnResult: func(k int, r *sim.Result, runErr error) {
-				i := missIdx[k]
-				switch {
-				case runErr != nil:
-					// Runs cut by a campaign-wide cancellation (client
-					// cancel, drain, job deadline) are "skipped" — they
-					// said nothing about their config. A per-run
-					// deadline is that run's own failure and counts as
-					// a serving-layer timeout.
-					skipped := errors.Is(runErr, context.Canceled) ||
-						errors.Is(runErr, context.DeadlineExceeded) ||
-						errors.Is(runErr, errJobTimeout)
-					var rte *sim.RunTimeoutError
-					if errors.As(runErr, &rte) {
-						s.mTimeouts.Inc()
-						skipped = false
-					}
-					j.setRunFailed(i, runErr, skipped)
-					if !skipped {
-						// Skipped runs said nothing about their config
-						// and are journaled only via the job's finished
-						// record; genuine failures are worth a record.
-						s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i,
-							State: RunFailed, Error: runErr.Error()})
-					}
-				default:
-					// Annotating the result with its prediction does not
-					// change the payload: newRunView emits predicted_*
-					// fields only for predicted-only results, so exact
-					// bytes stay identical with or without triage.
-					if d, ok := decisions[i]; ok {
-						if absErr, scored := s.triager.ObserveExact(d, r); scored {
-							j.addAudit(absErr)
-						}
-					}
-					data, merr := json.Marshal(newRunView(j.Specs[i], j.hashes[i], r))
-					if merr != nil {
-						j.setRunFailed(i, merr, false)
-						return
-					}
-					s.cache.Put(j.hashes[i], data)
-					// Write ordering matters: the payload is durably
-					// stored before the journal claims the run is done,
-					// so replay can never promise bytes it lost.
-					s.persistResult(j.hashes[i], data)
-					s.mExecuted.Inc()
-					j.setRunDone(i, data)
-					s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i, State: RunDone})
-				}
-			},
-		})
-	}
+	s.executeMisses(ctx, j, missIdx, audits)
 
 	switch {
 	case errors.Is(context.Cause(ctx), errJobTimeout):
@@ -624,22 +557,24 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// flakySolver wraps a run's solver for Options.FaultRate dev-mode
-// injection: the configured rate is split across random panics,
-// transient errors and short stalls, seeded per run so a given
-// (seed, run) pair always misbehaves the same way.
-func (s *Server) flakySolver(inner thermal.Solver, run int64) thermal.Solver {
-	if inner == nil {
-		inner = &thermal.Explicit{}
-	}
-	r := s.opts.FaultRate
-	return &fault.FlakySolver{
-		Inner:     inner,
-		Seed:      s.opts.FaultSeed + run,
-		PanicRate: r / 3,
-		ErrorRate: r / 3,
-		StallRate: r / 3,
-		Stall:     time.Millisecond,
+// injectFaults is Options.FaultRate's wrapCfg: the rate is split across
+// random panics, transient errors and short stalls, seeded per run so a
+// given (seed, run index) pair always misbehaves the same way.
+func injectFaults(rate float64, seed int64) func(int, sim.Config) sim.Config {
+	return func(i int, cfg sim.Config) sim.Config {
+		inner := cfg.Solver
+		if inner == nil {
+			inner = &thermal.Explicit{}
+		}
+		cfg.Solver = &fault.FlakySolver{
+			Inner:     inner,
+			Seed:      seed + int64(i),
+			PanicRate: rate / 3,
+			ErrorRate: rate / 3,
+			StallRate: rate / 3,
+			Stall:     time.Millisecond,
+		}
+		return cfg
 	}
 }
 
@@ -681,62 +616,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty campaign: configs is required")
 		return
 	}
-	// Resolve the daemon's default solver into each spec before hashing:
-	// the stored spec, the content address and whatever a cluster worker
-	// re-materializes must all agree on which solver ran.
-	if s.opts.DefaultSolver != "" {
-		for i := range req.Configs {
-			if req.Configs[i].Solver == "" {
-				req.Configs[i].Solver = s.opts.DefaultSolver
-			}
-		}
-	}
-	// And the default stack: specs that pin neither a preset nor custom
-	// layers inherit the daemon's stacked scenario, resolved before
-	// hashing for the same reason as the solver.
-	if s.opts.DefaultStack != "" {
-		for i := range req.Configs {
-			if req.Configs[i].Stack == "" && len(req.Configs[i].Layers) == 0 {
-				req.Configs[i].Stack = s.opts.DefaultStack
-			}
-		}
-	}
-	// Likewise the surrogate defaults: a daemon holding a model opts
-	// unset specs into triage (explicit surrogate:false still pins exact
-	// execution) and fills the zero-valued triage knobs, all before
-	// hashing so the content address records the policy that resolved
-	// the run.
-	if s.opts.Surrogate != nil {
-		for i := range req.Configs {
-			c := &req.Configs[i]
-			if c.Surrogate == nil {
-				on := true
-				c.Surrogate = &on
-			}
-			if *c.Surrogate {
-				if c.TriageBand == 0 {
-					c.TriageBand = s.opts.TriageBand
-				}
-				if c.AuditFrac == 0 {
-					c.AuditFrac = s.opts.AuditFrac
-				}
-			}
-		}
-	}
-	cfgs := make([]sim.Config, len(req.Configs))
 	hashes := make([]string, len(req.Configs))
-	for i, spec := range req.Configs {
-		cfg, err := spec.Config()
+	for i := range req.Configs {
+		s.applyDefaults(&req.Configs[i])
+		cfg, err := req.Configs[i].Config()
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("config %d: %v", i, err))
 			return
 		}
-		h, err := cfg.Hash()
-		if err != nil {
+		if hashes[i], err = cfg.Hash(); err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("config %d: %v", i, err))
 			return
 		}
-		cfgs[i], hashes[i] = cfg, h
 	}
 
 	key := campaignKey(hashes)
@@ -755,7 +646,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.mDeduped.Inc()
 			writeJSON(w, http.StatusOK, submitResponse{
 				ID:           prev,
-				Total:        len(cfgs),
+				Total:        len(hashes),
 				Hashes:       hashes,
 				Status:       "/jobs/" + prev,
 				Events:       "/jobs/" + prev + "/events",
@@ -767,7 +658,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	id := fmt.Sprintf("job-%06d", s.seq)
-	job := newJob(s.baseCtx, id, req.Configs, cfgs, hashes)
+	job := newJob(s.baseCtx, id, req.Configs, hashes)
 	job.dedupKey = key
 	select {
 	case s.queue <- job:
@@ -789,11 +680,43 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.journalRec(journalRecord{Type: recSubmitted, Job: id, Specs: req.Configs, Hashes: hashes})
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		ID:     id,
-		Total:  len(cfgs),
+		Total:  len(hashes),
 		Hashes: hashes,
 		Status: "/jobs/" + id,
 		Events: "/jobs/" + id + "/events",
 	})
+}
+
+// applyDefaults folds the daemon's defaults into a submitted spec before
+// hashing, so the stored spec, the content address, the journal and
+// whatever a cluster worker re-materializes all agree on what ran: the
+// default solver into specs that leave solver unset, the default stack
+// into specs that pin neither a preset nor custom layers, and — on a
+// daemon holding a surrogate — triage opt-in for specs that leave
+// surrogate unset (an explicit false still pins exact execution) plus
+// the zero-valued triage knobs.
+func (s *Server) applyDefaults(c *ConfigSpec) {
+	if c.Solver == "" {
+		c.Solver = s.opts.DefaultSolver
+	}
+	if c.Stack == "" && len(c.Layers) == 0 {
+		c.Stack = s.opts.DefaultStack
+	}
+	if s.opts.Surrogate == nil {
+		return
+	}
+	if c.Surrogate == nil {
+		on := true
+		c.Surrogate = &on
+	}
+	if *c.Surrogate {
+		if c.TriageBand == 0 {
+			c.TriageBand = s.opts.TriageBand
+		}
+		if c.AuditFrac == 0 {
+			c.AuditFrac = s.opts.AuditFrac
+		}
+	}
 }
 
 // retryAfter estimates how long until a queue slot frees: the mean

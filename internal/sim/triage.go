@@ -184,35 +184,41 @@ func (t *Triager) PredictedResult(cfg Config, d TriageDecision) *Result {
 
 // ObserveExact attaches the decision's prediction to an exact result
 // and, for audit-selected runs with a recorded severity series, scores
-// the prediction against the exact peak severity. It returns the
-// absolute severity error and whether it was scored.
+// the prediction against the exact peak severity (see ObserveAudit). It
+// returns the absolute severity error and whether it was scored.
 func (t *Triager) ObserveExact(d TriageDecision, res *Result) (absErr float64, scored bool) {
 	if res == nil || d.Prediction == nil {
 		return 0, false
 	}
 	res.Prediction = d.Prediction
 	res.Audited = d.Audit
-	if !d.Audit || len(res.Severity) == 0 {
+	if len(res.Severity) == 0 {
 		return 0, false
 	}
 	exact := 0.0
 	for _, s := range res.Severity {
 		exact = math.Max(exact, s)
 	}
-	absErr = math.Abs(d.Prediction.Severity - exact)
-	t.RecordAuditError(absErr)
-	return absErr, true
+	return t.ObserveAudit(d, exact)
 }
 
-// RecordAuditError folds one |predicted − exact| severity error into the
-// running audit MAE (exposed as the surrogate/audit_error gauge).
-func (t *Triager) RecordAuditError(absErr float64) {
+// ObserveAudit scores an audit-selected decision's prediction against
+// the run's exact peak severity, folding |predicted − exact| into the
+// running audit MAE (exposed as the surrogate/audit_error gauge). It
+// returns the absolute error and whether the decision was scored: only
+// audited decisions carrying a prediction are.
+func (t *Triager) ObserveAudit(d TriageDecision, exactPeak float64) (absErr float64, scored bool) {
+	if !d.Audit || d.Prediction == nil {
+		return 0, false
+	}
+	absErr = math.Abs(d.Prediction.Severity - exactPeak)
 	t.mu.Lock()
 	t.auditSum += absErr
 	t.auditN++
 	mae := t.auditSum / float64(t.auditN)
 	t.mu.Unlock()
 	t.auditErrG.Set(mae)
+	return absErr, true
 }
 
 // AuditMAE returns the mean absolute predicted-vs-exact severity error
