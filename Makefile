@@ -3,7 +3,7 @@ GO ?= go
 # Benchmark settings: BENCH_COUNT feeds -count (benchstat wants >= 10
 # samples); BENCH_PATTERN selects the hot kernels plus one end-to-end run.
 BENCH_COUNT ?= 10
-BENCH_PATTERN ?= BenchmarkKernelThermalStep|BenchmarkKernelADIStep|BenchmarkKernelMLTDField|BenchmarkSec4ATempScaling|BenchmarkStackedRun
+BENCH_PATTERN ?= BenchmarkKernelThermalStep|BenchmarkKernelADIStep|BenchmarkKernelMLTDField|BenchmarkKernelAnalyzePass|BenchmarkKernelPercentiles|BenchmarkSec4ATempScaling|BenchmarkStackedRun
 
 .PHONY: all build test vet fmt-check check faultcheck stackcheck crashcheck clustercheck chaoscheck fuzzsmoke triagecheck bench bench-check bench-all serve-smoke
 
@@ -73,9 +73,12 @@ chaoscheck:
 # Short coverage-guided fuzz runs over the decode boundaries chaos
 # corruption exercises: both cluster wire envelopes (seal / verify /
 # round-trip must never panic and never unseal corrupt bytes) and the
-# job-submission spec decoder (materialize + hash must be stable).
+# job-submission spec decoder (materialize + hash must be stable); plus
+# the per-frame analysis pass (the fused, cut-pruned MLTD/severity
+# maxima must equal the per-cell definition bit for bit).
 FUZZTIME ?= 10s
 fuzzsmoke:
+	$(GO) test -run=NONE -fuzz='^FuzzAnalyzePass$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=NONE -fuzz='^FuzzRemoteRunEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run=NONE -fuzz='^FuzzRemoteResultEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run=NONE -fuzz='^FuzzConfigSpecDecode$$' -fuzztime=$(FUZZTIME) ./internal/serve/

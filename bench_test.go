@@ -412,6 +412,48 @@ func BenchmarkKernelMLTDField(b *testing.B) {
 	}
 }
 
+// sec4aFrame is the last junction frame of a 14 nm Section-4A run (gcc,
+// idle warmup, 100 ADI steps): the frame shape and temperature profile
+// the per-step analysis pass sees.
+func sec4aFrame(b *testing.B) *geometry.Field {
+	b.Helper()
+	cfg := benchConfig(tech.Node14, "gcc", 100)
+	cfg.Warmup = sim.WarmupIdle
+	cfg.Solver = &thermal.ADI{}
+	return benchRun(b, cfg).FinalField
+}
+
+// BenchmarkKernelAnalyzePass times the per-frame analysis pass of the
+// record stage: one MLTD scan yielding the max-MLTD and peak-severity
+// samples.
+func BenchmarkKernelAnalyzePass(b *testing.B) {
+	f := sec4aFrame(b)
+	analyzer, err := core.NewAnalyzer(f, core.DefaultDefinition())
+	if err != nil {
+		b.Fatal(err)
+	}
+	analyzer.MaxMLTDSeverity(f) // warm the scan's scratch buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyzer.MaxMLTDSeverity(f)
+	}
+}
+
+// BenchmarkKernelPercentiles times the record stage's per-frame
+// temperature percentiles, selected into a reused buffer.
+func BenchmarkKernelPercentiles(b *testing.B) {
+	f := sec4aFrame(b)
+	var sel stats.Selector
+	var out [5]float64
+	sel.Percentiles(out[:], f.Data, 5, 25, 50, 75, 95) // size the buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel.Percentiles(out[:], f.Data, 5, 25, 50, 75, 95)
+	}
+}
+
 func BenchmarkKernelCacheAccess(b *testing.B) {
 	h, err := perf.NewHierarchy(perf.DefaultConfig())
 	if err != nil {

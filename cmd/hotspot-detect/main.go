@@ -64,14 +64,15 @@ func detect(path string, def core.Definition, naive, sev bool) error {
 		hs = analyzer.Detect(field)
 	}
 	maxT, _, _ := field.Max()
+	maxMLTD, peakSev := analyzer.MaxMLTDSeverity(field)
 	fmt.Printf("%s: %dx%d cells, max %.1f C, max MLTD %.1f C, %d hotspot(s)\n",
-		path, field.NX, field.NY, maxT, analyzer.MaxMLTD(field), len(hs))
+		path, field.NX, field.NY, maxT, maxMLTD, len(hs))
 	for _, h := range hs {
 		fmt.Printf("  (%.2f, %.2f) mm: %.1f C, MLTD %.1f C, severity %.2f\n",
 			h.X, h.Y, h.Temp, h.MLTD, core.Severity(h.Temp, h.MLTD))
 	}
 	if sev {
-		fmt.Printf("  peak severity: %.3f\n", analyzer.MaxSeverity(field))
+		fmt.Printf("  peak severity: %.3f\n", peakSev)
 	}
 	return nil
 }

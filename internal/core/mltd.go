@@ -41,25 +41,13 @@ func (a *Analyzer) MLTDField(f *geometry.Field) *geometry.Field {
 
 // MaxMLTD returns the maximum MLTD over the whole die — the Fig. 9
 // time-series quantity. Allocation-free after the analyzer's first scan.
+// MaxMLTDSeverity returns the same value alongside the peak severity
+// from the same scan.
 func (a *Analyzer) MaxMLTD(f *geometry.Field) float64 {
 	best := 0.0
 	for _, v := range a.mltdScan(f) {
 		if v > best {
 			best = v
-		}
-	}
-	return best
-}
-
-// MaxSeverity returns the peak hotspot severity over the die: the sev(t)
-// series of §V. It shares the sliding-window MLTD scan, evaluating
-// Severity at every cell. Allocation-free after the first scan.
-func (a *Analyzer) MaxSeverity(f *geometry.Field) float64 {
-	m := a.mltdScan(f)
-	best := 0.0
-	for i, t := range f.Data {
-		if s := Severity(t, m[i]); s > best {
-			best = s
 		}
 	}
 	return best

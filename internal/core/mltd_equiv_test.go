@@ -120,6 +120,7 @@ func TestMLTDScanNoAllocsAfterWarmup(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		a.MaxMLTD(f)
 		a.MaxSeverity(f)
+		a.MaxMLTDSeverity(f)
 	})
 	if allocs != 0 {
 		t.Fatalf("MLTD scan allocates %v objects per frame after warmup", allocs)

@@ -24,7 +24,10 @@ const (
 	// MetricStageDetect covers hotspot detection.
 	MetricStageDetect = StagePrefix + "detect"
 	// MetricStageRecord covers controller steering and per-step series
-	// recording (MLTD, severity, percentiles, deltas, frames).
+	// recording: the frame's one analysis pass (a single MLTD scan
+	// yielding the max-MLTD and cut-pruned peak-severity samples, plus
+	// one per extra die for per-die severity), temperature percentiles
+	// by selection, cell deltas and frame samples.
 	MetricStageRecord = StagePrefix + "record"
 
 	// MetricRuns counts completed Run invocations.

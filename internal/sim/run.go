@@ -248,6 +248,7 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 		dieField = geometry.NewField(grid.NX, grid.NY, cfg.Resolution)
 	}
 	tempTh := analyzer.Definition().TempThreshold
+	var pcts stats.Selector // reused across frames: percentiles allocate nothing per step
 
 	curCore := cfg.Core
 	throttle := 1.0
@@ -379,11 +380,19 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 			res.Power = append(res.Power, pr.TotalPower())
 		}
 		res.IPC = append(res.IPC, act.Counters.IPC())
-		if cfg.Record.MLTD {
+		// One MLTD scan yields both the MLTD and severity samples.
+		var sev float64
+		switch {
+		case cfg.Record.MLTD && cfg.Record.Severity:
+			var mltd float64
+			mltd, sev = analyzer.MaxMLTDSeverity(field)
+			res.MLTD = append(res.MLTD, mltd)
+		case cfg.Record.MLTD:
 			res.MLTD = append(res.MLTD, analyzer.MaxMLTD(field))
+		case cfg.Record.Severity:
+			sev = analyzer.MaxSeverity(field)
 		}
 		if cfg.Record.Severity {
-			sev := analyzer.MaxSeverity(field)
 			res.Severity = append(res.Severity, sev)
 			if stacked {
 				for i := 0; i < planes; i++ {
@@ -399,8 +408,9 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 			}
 		}
 		if cfg.Record.TempPercentiles {
-			p := stats.Percentiles(field.Data, 5, 25, 50, 75, 95)
-			res.TempPcts = append(res.TempPcts, [5]float64{p[0], p[1], p[2], p[3], p[4]})
+			var p [5]float64
+			pcts.Percentiles(p[:], field.Data, 5, 25, 50, 75, 95)
+			res.TempPcts = append(res.TempPcts, p)
 		}
 		if cfg.Record.CellDeltas {
 			for i := range field.Data {

@@ -3,70 +3,167 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between order statistics. It copies and sorts internally.
-// Any NaN in xs makes the result NaN: sort.Float64s leaves NaNs wherever
-// comparisons abandoned them, so order statistics over a NaN-bearing
-// slice would otherwise depend on the input order. Propagating NaN keeps
-// the poison visible and deterministic.
+// interpolation between order statistics. It selects on a copy of xs.
+// Any NaN in xs makes the result NaN: NaNs are unordered, so order
+// statistics over a NaN-bearing slice would otherwise depend on the
+// input order. Propagating NaN keeps the poison visible and
+// deterministic.
 func Percentile(xs []float64, p float64) float64 {
-	s := sortedOrNaN(xs)
-	if s == nil {
-		return math.NaN()
-	}
-	return percentileSorted(s, p)
+	var out [1]float64
+	new(Selector).Percentiles(out[:], xs, p)
+	return out[0]
 }
 
-// sortedOrNaN returns a sorted copy of xs, or nil when xs is empty or
-// contains a NaN (the caller then reports NaN deterministically).
-func sortedOrNaN(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	for _, v := range s {
-		if math.IsNaN(v) {
-			return nil
-		}
-	}
-	sort.Float64s(s)
-	return s
-}
-
-func percentileSorted(s []float64, p float64) float64 {
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Percentiles evaluates several percentiles with a single sort. Like
-// Percentile, a NaN anywhere in xs makes every output NaN.
+// Percentiles evaluates several percentiles with a single selection
+// pass. Like Percentile, a NaN anywhere in xs makes every output NaN.
 func Percentiles(xs []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
-	s := sortedOrNaN(xs)
-	if s == nil {
-		for i := range out {
+	new(Selector).Percentiles(out, xs, ps...)
+	return out
+}
+
+// Selector evaluates percentiles, like the package-level Percentiles,
+// in buffers it keeps between calls, so a loop over same-sized inputs
+// allocates only on its first call. The zero value is ready to use; a
+// Selector must not be shared between goroutines.
+type Selector struct {
+	buf   []float64
+	ranks []int
+}
+
+// Percentiles writes the ps percentiles of xs into out, which must hold
+// len(ps) values. A NaN anywhere in xs, or an empty xs, makes every
+// output NaN.
+//
+// Only the order statistics the interpolation reads are placed, by
+// multi-target introselect (selectRanks), and each equals what a full
+// sort would put at its rank; so the result equals interpolating a
+// sorted copy, at O(n) expected cost instead of O(n log n).
+func (sel *Selector) Percentiles(out, xs []float64, ps ...float64) {
+	if len(xs) == 0 || hasNaN(xs) {
+		for i := range ps {
 			out[i] = math.NaN()
 		}
-		return out
+		return
 	}
+	s := append(sel.buf[:0], xs...)
+	ranks := sel.ranks[:0]
+	for _, p := range ps {
+		lo, hi, _ := percentilePos(p, len(s))
+		ranks = append(ranks, lo, hi)
+	}
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
+	selectRanks(s, 0, ranks, selectDepth(len(s)))
 	for i, p := range ps {
-		out[i] = percentileSorted(s, p)
+		out[i] = percentileAt(s, p)
 	}
-	return out
+	sel.buf, sel.ranks = s, ranks
+}
+
+func hasNaN(xs []float64) bool {
+	for _, v := range xs {
+		if math.IsNaN(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// percentilePos locates the p-th percentile of n sorted values: it
+// interpolates between ranks lo and hi (equal when one order statistic
+// is the answer) with weight frac on hi.
+func percentilePos(p float64, n int) (lo, hi int, frac float64) {
+	if p <= 0 {
+		return 0, 0, 0
+	}
+	if p >= 100 {
+		return n - 1, n - 1, 0
+	}
+	pos := p / 100 * float64(n-1)
+	lo = int(math.Floor(pos))
+	if lo+1 >= n {
+		return lo, lo, 0
+	}
+	return lo, lo + 1, pos - float64(lo)
+}
+
+// percentileAt reads the p-th percentile from s, whose ranks
+// percentilePos names must hold their order statistics.
+func percentileAt(s []float64, p float64) float64 {
+	lo, hi, frac := percentilePos(p, len(s))
+	if lo == hi {
+		return s[lo]
+	}
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// selectDepth is introselect's partition-depth budget for n values:
+// twice the depth of a balanced partition tree.
+func selectDepth(n int) int { return 2 * bits.Len(uint(n)) }
+
+// selectRanks reorders s, which holds ranks base.. of a NaN-free
+// slice, so that s[k-base] holds the k-th smallest value for every k in
+// ks (ascending, distinct). It is introselect: a three-way partition
+// around the median of the first, middle and last values, descending
+// only into the parts that hold a wanted rank. Once a part has used up
+// depth partitions it is sorted instead, so adversarial inputs cost
+// O(n log n), not O(n²). It returns the work done — elements
+// partitioned, plus n·log₂n per sorted part of n — which the tests bound.
+func selectRanks(s []float64, base int, ks []int, depth int) (work int) {
+	for len(ks) > 0 {
+		n := len(s)
+		if n <= 16 || depth == 0 {
+			slices.Sort(s)
+			return work + n*bits.Len(uint(n))
+		}
+		depth--
+		lt, gt := partition3(s, medianOfThree(s[0], s[n/2], s[n-1]))
+		work += n
+		i, _ := slices.BinarySearch(ks, base+lt)
+		j, _ := slices.BinarySearch(ks, base+gt)
+		work += selectRanks(s[:lt], base, ks[:i], depth)
+		s, base, ks = s[gt:], base+gt, ks[j:]
+	}
+	return work
+}
+
+// partition3 reorders s into values below p, equal to p and above p,
+// returning the bounds: s[:lt] < p, s[lt:gt] == p, s[gt:] > p.
+func partition3(s []float64, p float64) (lt, gt int) {
+	i, gt := 0, len(s)
+	for i < gt {
+		switch v := s[i]; {
+		case v < p:
+			s[lt], s[i] = v, s[lt]
+			lt++
+			i++
+		case v > p:
+			gt--
+			s[i], s[gt] = s[gt], v
+		default:
+			i++
+		}
+	}
+	return lt, gt
+}
+
+func medianOfThree(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // Box is a five-number box-and-whisker summary (Fig. 11's plot elements:
@@ -80,19 +177,9 @@ type Box struct {
 // NaN (N still reports the input length), matching Percentile's
 // deterministic propagation.
 func BoxOf(xs []float64) Box {
-	s := sortedOrNaN(xs)
-	if s == nil {
-		nan := math.NaN()
-		return Box{N: len(xs), Min: nan, Q1: nan, Median: nan, Q3: nan, Max: nan}
-	}
-	return Box{
-		N:      len(s),
-		Min:    s[0],
-		Q1:     percentileSorted(s, 25),
-		Median: percentileSorted(s, 50),
-		Q3:     percentileSorted(s, 75),
-		Max:    s[len(s)-1],
-	}
+	var q [5]float64
+	new(Selector).Percentiles(q[:], xs, 0, 25, 50, 75, 100)
+	return Box{N: len(xs), Min: q[0], Q1: q[1], Median: q[2], Q3: q[3], Max: q[4]}
 }
 
 // IQR returns the interquartile range.
