@@ -29,11 +29,12 @@ fmt-check:
 check: build test vet fmt-check
 
 # The fault-tolerance suite under the race detector, run twice: panic
-# isolation, per-run deadlines, retry/backoff and the end-to-end faulty
-# campaign all involve goroutine handoff, so -race -count=2 is the gate
-# that catches both data races and order-dependent flakiness.
+# isolation, per-run deadlines, retry/backoff, the end-to-end faulty
+# campaign and the cluster coordinator (leases, dispatch, the bounded
+# local fallback) all involve goroutine handoff, so -race -count=2 is
+# the gate that catches both data races and order-dependent flakiness.
 faultcheck:
-	$(GO) test -race -count=2 ./internal/fault/ ./internal/sim/ ./internal/serve/ ./internal/store/ ./internal/surrogate/ ./internal/thermal/ ./internal/power/ ./internal/floorplan/
+	$(GO) test -race -count=2 ./internal/fault/ ./internal/sim/ ./internal/serve/ ./internal/store/ ./internal/surrogate/ ./internal/thermal/ ./internal/power/ ./internal/floorplan/ ./internal/cluster/
 
 # The stacked-scenario smoke under the race detector: every multi-die
 # preset end-to-end (per-die series, DRAM power feedback, hash

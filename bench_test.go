@@ -266,7 +266,6 @@ func BenchmarkAblationSolvers(b *testing.B) {
 		}
 	}
 	b.Run("explicit", func(b *testing.B) { run(b, &thermal.Explicit{}) })
-	b.Run("implicit", func(b *testing.B) { run(b, &thermal.Implicit{}) })
 	b.Run("adi", func(b *testing.B) { run(b, &thermal.ADI{}) })
 }
 

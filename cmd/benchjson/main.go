@@ -3,8 +3,8 @@
 // BENCH_thermal.json artifact). Repeated samples of one benchmark — the
 // `-count=N` runs benchstat wants — are aggregated into mean and min,
 // and the summary is stamped with provenance metadata: the git commit,
-// the benchmark grid's cell count and the solver vocabulary the numbers
-// cover.
+// the host (GOMAXPROCS, CPU model, Go version), the benchmark grid's
+// cell count and the solver vocabulary the numbers cover.
 //
 // Usage:
 //
@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,6 +67,12 @@ type Meta struct {
 	// GitSHA is the commit the benchmarks ran at ("unknown" outside a
 	// git checkout).
 	GitSHA string `json:"git_sha"`
+	// GOMAXPROCS, CPUModel (the /proc/cpuinfo "model name", "unknown"
+	// elsewhere) and GoVersion say which host and toolchain measured the
+	// numbers. Baselines written before they were stamped lack them.
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	CPUModel   string `json:"cpu_model,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
 	// GridCells is the thermal cell count of the benchmark grid (the
 	// Node-7 die at 0.1 mm pitch) — the N the per-step kernel numbers
 	// scale with.
@@ -154,7 +161,31 @@ func meta() Meta {
 			cells = g.NX * g.NY * g.NL
 		}
 	}
-	return Meta{GitSHA: sha, GridCells: cells, Solvers: []string{"explicit", "implicit", "adi"}, Stacks: sim.StackPresets()}
+	cpuinfo, _ := os.ReadFile("/proc/cpuinfo")
+	return Meta{
+		GitSHA:     sha,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(cpuinfo),
+		GoVersion:  runtime.Version(),
+		GridCells:  cells,
+		Solvers:    []string{"explicit", "adi"},
+		Stacks:     sim.StackPresets(),
+	}
+}
+
+// cpuModel extracts the first "model name" value from /proc/cpuinfo
+// contents, or "unknown" when there is none (non-Linux hosts, some ARM
+// kernels).
+func cpuModel(cpuinfo []byte) string {
+	for _, line := range strings.Split(string(cpuinfo), "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			if v := strings.TrimSpace(val); v != "" {
+				return v
+			}
+		}
+	}
+	return "unknown"
 }
 
 // loadSummary reads either the current object form or the legacy bare

@@ -87,8 +87,8 @@ func main() {
 	flag.Float64Var(&o.tempTh, "temp-threshold", 80, "hotspot temperature threshold [C]")
 	flag.Float64Var(&o.mltdTh, "mltd-threshold", 25, "hotspot MLTD threshold [C]")
 	flag.Float64Var(&o.radius, "radius", 1.0, "MLTD radius [mm]")
-	flag.StringVar(&o.solver, "solver", "", "thermal solver: explicit (default), implicit or adi (adaptive ADI, the campaign fast solver)")
-	flag.Float64Var(&o.solverTol, "solver-tol", 0, "solver accuracy knob: implicit inner-sweep tolerance or ADI per-step error budget [C] (0 = solver default)")
+	flag.StringVar(&o.solver, "solver", "", "thermal solver: explicit (default) or adi (adaptive ADI, the campaign fast solver); implicit is an alias for adi")
+	flag.Float64Var(&o.solverTol, "solver-tol", 0, "ADI per-step error budget [C], finite (0 = solver default; ignored for explicit)")
 	flag.StringVar(&o.stack, "stack", "", "stacked-scenario preset: core-on-memory, memory-on-core or gpu-sm (empty = single die)")
 	flag.BoolVar(&o.fastSteady, "fast-steady", false, "jump constant-power stretches straight to the steady-state solution instead of integrating the settling tail")
 	flag.Float64Var(&o.steadyTol, "fast-steady-tol", 0, "relative per-step power delta below which frames count as steady for -fast-steady (0 = 1e-3)")

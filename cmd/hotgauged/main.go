@@ -56,9 +56,9 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline for in-flight jobs")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-time limit; an exceeding run fails alone (0 = unlimited)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-time limit from execution start (0 = unlimited)")
-	retries := flag.Int("retries", 0, "retry attempts for runs failing with transient errors (exponential backoff + jitter)")
+	retries := flag.Int("retries", 0, "retry attempts for runs failing with transient errors (exponential backoff + jitter); a diverging solve retries on the ADI solver")
 	maxBodyMB := flag.Int("max-body-mb", 8, "maximum POST /jobs body size in MiB (larger requests get 413)")
-	solver := flag.String("solver", "", "default thermal solver for specs that leave it unset: explicit | implicit | adi; folded into specs before hashing, so cache keys and cluster shards stay coherent (empty = explicit)")
+	solver := flag.String("solver", "", "default thermal solver for specs that leave it unset: explicit | adi (implicit is an alias for adi); folded into specs before hashing, so cache keys and cluster shards stay coherent (empty = explicit)")
 	stack := flag.String("stack", "", "default stacked-scenario preset for specs that leave stack and layers unset: core-on-memory | memory-on-core | gpu-sm; folded into specs before hashing, like -solver (empty = single die)")
 	faultRate := flag.Float64("fault-rate", 0, "dev-only: inject random per-step panics/errors/stalls at this rate to exercise the recovery paths")
 	faultSeed := flag.Int64("fault-seed", 1, "dev-only: deterministic seed for -fault-rate injection")

@@ -97,7 +97,8 @@ type CoordinatorOptions struct {
 	// whenever no worker is alive, so a cluster-mode job degrades to
 	// single-node execution instead of stalling.
 	LocalExec Executor
-	// LocalWorkers bounds concurrent LocalExec runs (0 = GOMAXPROCS).
+	// LocalWorkers bounds concurrent LocalExec runs (0 = GOMAXPROCS);
+	// fallback runs beyond it wait in the unassigned queue.
 	LocalWorkers int
 }
 
@@ -141,14 +142,16 @@ type Coordinator struct {
 	ring       *Ring
 	tasks      map[string]*task // unresolved, by key
 	unassigned []*task
-	closed     bool
+	// localRunning counts LocalExec runs in flight (at most
+	// opts.LocalWorkers).
+	localRunning int
+	closed       bool
 
 	kick     chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
 	loopDone chan struct{}
 	wg       sync.WaitGroup // batch pushes + local executions
-	localSem chan struct{}
 
 	gWorkers, gPending, gLeased                *obs.Gauge
 	mJoins, mWorkersLost                       *obs.Counter
@@ -207,7 +210,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		kick:              make(chan struct{}, 1),
 		stop:              make(chan struct{}),
 		loopDone:          make(chan struct{}),
-		localSem:          make(chan struct{}, opts.LocalWorkers),
 		gWorkers:          reg.Gauge(MetricWorkers),
 		gPending:          reg.Gauge(MetricPendingRuns),
 		gLeased:           reg.Gauge(MetricLeasedRuns),
@@ -629,16 +631,22 @@ func (c *Coordinator) tripLocked(w *remoteWorker) {
 }
 
 // localFallbackLocked runs queued work on the coordinator itself when
-// no worker is alive and a local executor is configured.
+// no worker is alive and a local executor is configured. It starts a run
+// only while fewer than LocalWorkers are executing; the rest stay queued
+// in c.unassigned, where each finishing run's kick launches the next and
+// a worker that joins meanwhile can take them instead.
 func (c *Coordinator) localFallbackLocked() []resolution {
 	if c.opts.LocalExec == nil || c.aliveLocked() > 0 {
 		return nil
 	}
 	var resolutions []resolution
-	parked := c.unassigned
-	c.unassigned = nil
-	for _, t := range parked {
-		if t.resolved || t.worker != "" {
+	for len(c.unassigned) > 0 && c.localRunning < c.opts.LocalWorkers {
+		t := c.unassigned[0]
+		c.unassigned[0] = nil
+		c.unassigned = c.unassigned[1:]
+		// A cancelled run is left to Execute, which resolves it with the
+		// context cause.
+		if t.resolved || t.worker != "" || t.ctx.Err() != nil {
 			continue
 		}
 		t.attempts++
@@ -651,6 +659,7 @@ func (c *Coordinator) localFallbackLocked() []resolution {
 			continue
 		}
 		t.worker = "(local)"
+		c.localRunning++
 		c.mLocalRuns.Inc()
 		c.wg.Add(1)
 		go c.runLocal(t)
@@ -659,16 +668,13 @@ func (c *Coordinator) localFallbackLocked() []resolution {
 }
 
 // runLocal executes one fallback run through the local executor and
-// resolves it like a worker result would.
+// resolves it like a worker result would, then frees its local slot and
+// kicks the loop so the next queued run can start.
 func (c *Coordinator) runLocal(t *task) {
 	defer c.wg.Done()
-	c.localSem <- struct{}{}
-	defer func() { <-c.localSem }()
-	if t.ctx.Err() != nil {
-		return // abandon() resolves it with the context cause
-	}
 	payload, err := c.opts.LocalExec(t.ctx, t.run)
 	c.mu.Lock()
+	c.localRunning--
 	ok := c.resolveLocked(t)
 	c.mu.Unlock()
 	if ok {

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -274,6 +276,86 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 	}
 	if got := counter(reg, MetricLocalRuns); got != len(runs) {
 		t.Errorf("local_runs = %d, want %d", got, len(runs))
+	}
+}
+
+// TestCoordinatorLocalFallbackBounded pushes a large campaign through
+// the local fallback with a blocking executor: at most LocalWorkers runs
+// execute at once, the queued rest cost no goroutines, and once the
+// executor unblocks every run resolves exactly once.
+func TestCoordinatorLocalFallbackBounded(t *testing.T) {
+	const (
+		runs         = 1000
+		localWorkers = 2
+		slack        = 10 // scheduler loop, Execute's waiter, test goroutines
+	)
+	release := make(chan struct{})
+	started := make(chan struct{}, runs) // one send per run, never blocks
+	var inflight, maxInflight atomic.Int64
+	reg := obs.NewRegistry()
+	base := runtime.NumGoroutine()
+	c := NewCoordinator(CoordinatorOptions{
+		LeaseTTL:     100 * time.Millisecond,
+		Registry:     reg,
+		LocalWorkers: localWorkers,
+		LocalExec: func(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
+			n := inflight.Add(1)
+			defer inflight.Add(-1)
+			for m := maxInflight.Load(); n > m && !maxInflight.CompareAndSwap(m, n); m = maxInflight.Load() {
+			}
+			started <- struct{}{}
+			<-release
+			return []byte(strconv.Quote("local:" + run.Key())), nil
+		},
+	})
+	defer c.Close()
+
+	type outcome struct {
+		payloads map[int][]byte
+		errs     map[int]error
+		err      error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		p, e, err := gather(t, c, context.Background(), makeRuns("job-bounded", runs))
+		done <- outcome{p, e, err}
+	}()
+
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < localWorkers; i++ {
+		select {
+		case <-started:
+		case <-timeout:
+			close(release)
+			t.Fatalf("only %d local runs started", i)
+		}
+	}
+	// Status takes the scheduler lock, so the pass that launched the
+	// first runs has finished: every run it started exists by now, and
+	// the rest must still be queued.
+	if pending := c.Status().PendingRuns; pending != runs-localWorkers {
+		close(release)
+		t.Fatalf("%d runs pending with %d executing, want %d", pending, localWorkers, runs-localWorkers)
+	}
+	extra := runtime.NumGoroutine() - base
+	if extra > localWorkers+slack {
+		close(release)
+		t.Fatalf("%d extra goroutines with %d runs parked, want at most %d", extra, runs, localWorkers+slack)
+	}
+	close(release)
+
+	out := <-done
+	if out.err != nil || len(out.errs) != 0 {
+		t.Fatalf("Execute err=%v, run errors=%d", out.err, len(out.errs))
+	}
+	if len(out.payloads) != runs {
+		t.Fatalf("resolved %d of %d runs", len(out.payloads), runs)
+	}
+	if m := maxInflight.Load(); m > localWorkers {
+		t.Errorf("%d local runs in flight at once, want at most %d", m, localWorkers)
+	}
+	if got := counter(reg, MetricLocalRuns); got != runs {
+		t.Errorf("local_runs = %d, want %d", got, runs)
 	}
 }
 

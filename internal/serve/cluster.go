@@ -166,10 +166,7 @@ func (s *Server) simulate(ctx context.Context, run sim.RemoteRun) ([]byte, error
 	if s.wrapCfg != nil {
 		cfg = s.wrapCfg(run.Index, cfg)
 	}
-	res, err := sim.RunWithRetry(ctx, cfg, sim.RetryPolicy{
-		MaxAttempts:      s.opts.Retries + 1,
-		ExplicitFallback: true,
-	})
+	res, err := sim.RunWithRetry(ctx, cfg, sim.RetryPolicy{MaxAttempts: s.opts.Retries + 1})
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ type Options struct {
 	// Retries is how many times a run failing with a retryable error
 	// (sim.Retryable: injected transients, solver divergence) is
 	// re-attempted with exponential backoff, counted in sim/retries
-	// (0 = never). Solver divergence falls back to the implicit solver.
+	// (0 = never). Solver divergence falls back to the ADI solver.
 	Retries int
 	// MaxBodyBytes caps a POST /jobs request body (default 8 MiB);
 	// larger submissions are refused with 413.
@@ -119,8 +119,8 @@ type Options struct {
 	// solver unset — before hashing, deduplication and journaling, so the
 	// result cache, the journal and cluster workers all see the resolved
 	// spec rather than an ambient daemon setting. Must be a
-	// thermal.NewSolver name ("explicit", "implicit" or "adi"); empty
-	// keeps the simulator's explicit default.
+	// thermal.NewSolver name ("explicit" or "adi", or the "implicit"
+	// alias for "adi"); empty keeps the simulator's explicit default.
 	DefaultSolver string
 
 	// DefaultStack, when set, is folded like DefaultSolver into submitted

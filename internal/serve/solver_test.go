@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"testing"
 
@@ -39,19 +40,34 @@ func TestSpecSolverMaterialization(t *testing.T) {
 		t.Fatalf("ADI ErrTol = %v, want solver_tol 0.05", s.ErrTol)
 	}
 
+	// "implicit" is an alias for "adi": same solver, same tol meaning,
+	// same content address (with and without a tolerance).
 	imp := base
 	imp.Solver = "implicit"
-	imp.SolverTol = 1e-6
+	imp.SolverTol = 0.05
 	cfg, err = imp.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	is, ok := cfg.Solver.(*thermal.Implicit)
+	is, ok := cfg.Solver.(*thermal.ADI)
 	if !ok {
-		t.Fatalf("solver %T, want *thermal.Implicit", cfg.Solver)
+		t.Fatalf("implicit solver %T, want *thermal.ADI", cfg.Solver)
 	}
-	if is.Tol != 1e-6 {
-		t.Fatalf("Implicit Tol = %v, want solver_tol 1e-6", is.Tol)
+	if is.ErrTol != 0.05 {
+		t.Fatalf("implicit ErrTol = %v, want solver_tol 0.05", is.ErrTol)
+	}
+	if got, want := specHash(t, imp), specHash(t, adi); got != want {
+		t.Fatalf("implicit hash %s != adi hash %s", got, want)
+	}
+	imp.SolverTol, adi.SolverTol = 0, 0
+	if got, want := specHash(t, imp), specHash(t, adi); got != want {
+		t.Fatalf("default-tol implicit hash %s != adi hash %s", got, want)
+	}
+
+	nan := adi
+	nan.SolverTol = math.NaN()
+	if _, err := nan.Config(); err == nil {
+		t.Fatal("NaN solver_tol materialized without error")
 	}
 
 	bad := base

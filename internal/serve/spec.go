@@ -55,15 +55,14 @@ type ConfigSpec struct {
 	RecordSeverity     bool `json:"record_severity,omitempty"`
 	RecordHotspotUnits bool `json:"record_hotspot_units,omitempty"`
 	// Solver selects the thermal solver: "" or "explicit" (forward
-	// Euler, the reference), "implicit" (backward Euler) or "adi" (the
-	// adaptive alternating-direction-implicit fast solver). "" and
-	// "explicit" hash identically. An unset solver inherits the daemon's
-	// -solver default at submission.
+	// Euler, the reference) or "adi" (the adaptive
+	// alternating-direction-implicit fast solver). "implicit" is an alias
+	// for "adi" and hashes to the same address. "" and "explicit" hash
+	// identically. An unset solver inherits the daemon's -solver default
+	// at submission.
 	Solver string `json:"solver,omitempty"`
-	// SolverTol tunes the selected solver's accuracy knob — the implicit
-	// solver's inner-sweep tolerance or the ADI solver's per-step error
-	// budget [°C] (0 = the solver's documented default; ignored for
-	// explicit).
+	// SolverTol is the ADI solver's per-step error budget [°C] (0 = the
+	// documented default; ignored for explicit). It must be finite.
 	SolverTol float64 `json:"solver_tol,omitempty"`
 	// FastSteady opts into the steady-state fast path: constant-power
 	// stretches jump straight to the steady-state solution instead of

@@ -16,9 +16,9 @@
 // Config.MaxWallTime / CampaignOptions.RunTimeout at step boundaries
 // (*RunTimeoutError, sim/timeouts), and fails non-finite solves with
 // *SolverDivergedError. RunWithRetry re-attempts Retryable failures with
-// exponential backoff + jitter (sim/retries), falling a diverging
-// explicit solve back to the unconditionally stable implicit solver; the
-// returned Result always carries the caller's pristine Config.
+// exponential backoff + jitter (sim/retries), falling a diverging solve
+// back to the unconditionally stable ADI solver; the returned Result
+// always carries the caller's pristine Config.
 //
 // When Config.Obs is set, Run records per-stage wall time (setup, perf,
 // power, thermal, detect, record — the Metric* names in metrics.go) and

@@ -64,8 +64,8 @@ type transienter interface{ Transient() bool }
 
 // Retryable classifies err for the retry layer. Retryable failures are
 // transient by construction (marker interface) or recoverable by policy
-// (solver divergence, which RunWithRetry's ExplicitFallback retries on
-// the unconditionally stable implicit solver). Panics, per-run
+// (solver divergence, which RunWithRetry retries on the unconditionally
+// stable ADI solver). Panics, per-run
 // deadlines, cancellations and plain validation errors are not
 // retryable: re-running a deterministic failure only burns time.
 func Retryable(err error) bool {

@@ -21,7 +21,7 @@ import (
 //
 // Configs carrying opaque behaviour the hash cannot canonically
 // represent — a custom perf.Source, a Controller, or a thermal.Solver
-// other than Explicit/Implicit/ADI — are rejected with an error, as is any
+// other than Explicit/ADI — are rejected with an error, as is any
 // config that fails validation. Config.Obs and solver tuning knobs that
 // are proven result-neutral (Explicit.Workers runs bit-identical at any
 // worker count) are excluded, as is the operational MaxWallTime budget
@@ -186,21 +186,12 @@ func (c Config) canonicalJSON() ([]byte, error) {
 // canonicalSolver maps a solver to its hash token. Only the stock
 // solvers are representable: Explicit hashes by name alone (its Workers
 // knob is bit-identical at any value, and its counters are
-// instrumentation), while Implicit and ADI include the knobs that
-// change their numerics, with the documented defaults filled in.
+// instrumentation), while ADI includes the knobs that change its
+// numerics, with the documented defaults filled in.
 func canonicalSolver(s thermal.Solver) (string, error) {
 	switch sv := s.(type) {
 	case *thermal.Explicit:
 		return "explicit", nil
-	case *thermal.Implicit:
-		iters, tol := sv.MaxIters, sv.Tol
-		if iters <= 0 {
-			iters = 60
-		}
-		if tol <= 0 {
-			tol = 1e-5
-		}
-		return fmt.Sprintf("implicit/maxiters=%d,tol=%g", iters, tol), nil
 	case *thermal.ADI:
 		tol, maxSub := sv.ErrTol, sv.MaxSubsteps
 		if tol <= 0 {
@@ -211,6 +202,6 @@ func canonicalSolver(s thermal.Solver) (string, error) {
 		}
 		return fmt.Sprintf("adi/tol=%g,maxsub=%d", tol, maxSub), nil
 	default:
-		return "", fmt.Errorf("sim: solver %T is not hashable (only thermal.Explicit/Implicit/ADI are)", s)
+		return "", fmt.Errorf("sim: solver %T is not hashable (only thermal.Explicit/ADI are)", s)
 	}
 }

@@ -112,8 +112,6 @@ func TestHashSensitivity(t *testing.T) {
 		"ambient":        func(c *Config) { c.Ambient = 45 },
 		"cycle-model":    func(c *Config) { c.UseCycleModel = true },
 		"cycles-step":    func(c *Config) { c.CyclesPerStep = 1000 },
-		"solver":         func(c *Config) { c.Solver = &thermal.Implicit{} },
-		"solver-tol":     func(c *Config) { c.Solver = &thermal.Implicit{Tol: 1e-6} },
 		"solver-adi":     func(c *Config) { c.Solver = &thermal.ADI{} },
 		"adi-errtol":     func(c *Config) { c.Solver = &thermal.ADI{ErrTol: 0.02} },
 		"adi-maxsub":     func(c *Config) { c.Solver = &thermal.ADI{MaxSubsteps: 128} },
@@ -137,14 +135,6 @@ func TestHashSensitivity(t *testing.T) {
 			t.Errorf("tweak %q collides with %q (hash %s)", name, prev, h)
 		}
 		seen[h] = name
-	}
-	// Implicit solver defaults: zero knobs and the documented defaults
-	// are the same numerics.
-	d1, d2 := base, base
-	d1.Solver = &thermal.Implicit{}
-	d2.Solver = &thermal.Implicit{MaxIters: 60, Tol: 1e-5}
-	if mustHash(t, d1) != mustHash(t, d2) {
-		t.Error("Implicit zero-value and explicit defaults hash differently")
 	}
 	// ADI likewise: counters are instrumentation, the numeric knobs hash
 	// with their documented defaults filled in.

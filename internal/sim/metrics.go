@@ -66,15 +66,9 @@ const (
 	// MetricThermalSubsteps counts solver substeps (explicit
 	// stability-bounded substeps, or ADI substeps including abandoned
 	// ladder levels); MetricThermalStability counts steps that hit the
-	// stability bound (explicit), the iteration cap (implicit) or the
-	// subdivision cap (ADI).
+	// stability bound (explicit) or the subdivision cap (ADI).
 	MetricThermalSubsteps  = "thermal/substeps"
 	MetricThermalStability = "thermal/stability_hits"
-	// MetricThermalGSIters counts the implicit solver's inner
-	// Gauss-Seidel sweeps; MetricThermalGSResidual records the final
-	// sweep residual of its latest Step [°C].
-	MetricThermalGSIters    = "thermal/gs_iters"
-	MetricThermalGSResidual = "thermal/gs_residual"
 	// MetricThermalADISaved accumulates the explicit-equivalent substeps
 	// the ADI solver avoided (ceil(dt/dtStable) minus ADI substeps
 	// executed, per Step).

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hotgauge/internal/obs"
-	"hotgauge/internal/thermal"
 )
 
 func TestRunRecordsMetrics(t *testing.T) {
@@ -77,21 +76,6 @@ func TestRunWithNilRegistryUnchanged(t *testing.T) {
 		if base.MaxTemp[i] != instr.MaxTemp[i] {
 			t.Fatalf("instrumentation changed the physics at step %d", i)
 		}
-	}
-}
-
-func TestImplicitSolverMetrics(t *testing.T) {
-	cfg := fastConfig(t, "gcc", 3)
-	reg := obs.NewRegistry()
-	cfg.Solver = &thermal.Implicit{
-		Substeps:      reg.Counter(MetricThermalSubsteps),
-		StabilityHits: reg.Counter(MetricThermalStability),
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter(MetricThermalSubsteps).Value(); got < 3 {
-		t.Errorf("implicit sweeps = %d, want >= steps", got)
 	}
 }
 

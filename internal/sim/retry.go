@@ -35,10 +35,6 @@ type RetryPolicy struct {
 	// Seed seeds the jitter stream (0 uses a fixed default, so equal
 	// policies back off identically).
 	Seed int64
-	// ExplicitFallback, when set, answers a SolverDivergedError by
-	// retrying on a fresh unconditionally stable thermal.Implicit solver
-	// — the stability fallback for explicit integrations that blow up.
-	ExplicitFallback bool
 	// Sleep overrides the context-aware backoff sleep (tests inject a
 	// fake clock here). Nil uses a timer honoring ctx cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -84,8 +80,10 @@ func sleep(ctx context.Context, d time.Duration) error {
 // Retryable are re-attempted up to p.MaxAttempts total attempts with
 // exponential backoff and jitter, counting each retry in sim/retries.
 // Non-retryable failures (panics, deadlines, cancellations, validation
-// errors) return immediately. On success after a solver fallback the
-// returned Result still carries the caller's original Config.
+// errors) return immediately. A *SolverDivergedError is retried on a
+// fresh thermal.ADI solver (the stability fallback). On success after
+// that fallback the returned Result still carries the caller's original
+// Config.
 func RunWithRetry(ctx context.Context, cfg Config, p RetryPolicy) (*Result, error) {
 	attempts := p.MaxAttempts
 	if attempts <= 1 {
@@ -115,12 +113,12 @@ func RunWithRetry(ctx context.Context, cfg Config, p RetryPolicy) (*Result, erro
 			break
 		}
 		var div *SolverDivergedError
-		if p.ExplicitFallback && errors.As(err, &div) {
+		if errors.As(err, &div) {
 			// A diverging integration is deterministic: retrying the same
 			// solver would fail identically, so fall back to the
-			// unconditionally stable implicit solver. Each retry gets a
-			// fresh instance — solver scratch must never be shared.
-			cfg.Solver = &thermal.Implicit{}
+			// unconditionally stable ADI solver. Each retry gets a fresh
+			// instance — solver scratch must never be shared.
+			cfg.Solver = &thermal.ADI{}
 		}
 		retries.Inc()
 		if serr := sleepFn(ctx, p.backoff(attempt, rng)); serr != nil {

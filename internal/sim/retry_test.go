@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -217,26 +218,54 @@ func TestRunWithRetryNonRetryableFailsFast(t *testing.T) {
 	}
 }
 
+// TestRunWithRetryExplicitFallback: a diverging explicit run is retried
+// on a fresh ADI solver, so the recovered result must be exactly what a
+// plain ADI run of the same config produces, series for series.
 func TestRunWithRetryExplicitFallback(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := fastConfig(t, "gcc", 3)
+	cfg.Record = RecordOptions{MLTD: true, Severity: true, TempPercentiles: true}
 	cfg.Obs = reg
 	flaky := &fault.FlakySolver{Inner: &thermal.Explicit{}, NaNAt: 1}
 	cfg.Solver = flaky
 	p := RetryPolicy{
-		MaxAttempts:      2,
-		ExplicitFallback: true,
-		Sleep:            func(ctx context.Context, d time.Duration) error { return nil },
+		MaxAttempts: 2,
+		Sleep:       func(ctx context.Context, d time.Duration) error { return nil },
 	}
 	res, err := RunWithRetry(context.Background(), cfg, p)
 	if err != nil {
-		t.Fatalf("fallback to implicit solver did not recover: %v", err)
+		t.Fatalf("fallback to the ADI solver did not recover: %v", err)
 	}
 	if res.Config.Solver != thermal.Solver(flaky) {
 		t.Fatalf("Result.Config.Solver = %T, want the caller's original", res.Config.Solver)
 	}
 	if got := reg.Snapshot().Counters[MetricRetries]; got != 1 {
 		t.Fatalf("sim/retries = %d, want 1", got)
+	}
+
+	plain := cfg
+	plain.Obs = nil
+	plain.Solver = &thermal.ADI{}
+	want, err := Run(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := []struct {
+		name      string
+		got, want any
+	}{
+		{"MaxTemp", res.MaxTemp, want.MaxTemp},
+		{"MeanTemp", res.MeanTemp, want.MeanTemp},
+		{"Power", res.Power, want.Power},
+		{"MLTD", res.MLTD, want.MLTD},
+		{"Severity", res.Severity, want.Severity},
+		{"TempPcts", res.TempPcts, want.TempPcts},
+		{"FinalField", res.FinalField.Data, want.FinalField.Data},
+	}
+	for _, s := range series {
+		if !reflect.DeepEqual(s.got, s.want) {
+			t.Errorf("%s after fallback differs from a plain ADI run:\n got  %v\n want %v", s.name, s.got, s.want)
+		}
 	}
 }
 

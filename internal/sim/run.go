@@ -504,16 +504,6 @@ func instrumentSolver(s thermal.Solver, r *obs.Registry) {
 		if sv.StabilityHits == nil {
 			sv.StabilityHits = r.Counter(MetricThermalStability)
 		}
-	case *thermal.Implicit:
-		if sv.Substeps == nil {
-			sv.Substeps = r.Counter(MetricThermalGSIters)
-		}
-		if sv.StabilityHits == nil {
-			sv.StabilityHits = r.Counter(MetricThermalStability)
-		}
-		if sv.Residual == nil {
-			sv.Residual = r.Gauge(MetricThermalGSResidual)
-		}
 	case *thermal.ADI:
 		if sv.Substeps == nil {
 			sv.Substeps = r.Counter(MetricThermalSubsteps)

@@ -326,24 +326,33 @@ func TestCycleModelPathWorks(t *testing.T) {
 	}
 }
 
+// TestImplicitSolverPathWorks: the "implicit" solver name is an alias
+// for ADI, so a run built from it is an ADI run — same series bit for
+// bit, same content address.
 func TestImplicitSolverPathWorks(t *testing.T) {
 	cfg := fastConfig(t, "gcc", 5)
-	cfg.Solver = &thermal.Implicit{MaxIters: 400, Tol: 1e-7}
+	sv, err := thermal.NewSolver("implicit", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Solver = sv
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := Run(fastConfig(t, "gcc", 5))
+	adi := fastConfig(t, "gcc", 5)
+	adi.Solver = &thermal.ADI{}
+	want, err := Run(adi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res.MaxTemp {
-		// Backward vs forward Euler at a 200 µs step differ O(dt) where
-		// local transients are fast; a few °C is the expected gap (this is
-		// the solver-ablation tradeoff).
-		if math.Abs(res.MaxTemp[i]-explicit.MaxTemp[i]) > 5.0 {
-			t.Fatalf("solvers diverge at step %d: %v vs %v", i, res.MaxTemp[i], explicit.MaxTemp[i])
+	for i := range want.MaxTemp {
+		if res.MaxTemp[i] != want.MaxTemp[i] {
+			t.Fatalf("step %d: implicit %v != adi %v", i, res.MaxTemp[i], want.MaxTemp[i])
 		}
+	}
+	if mustHash(t, cfg) != mustHash(t, adi) {
+		t.Fatal("implicit and adi configs hash differently")
 	}
 }
 

@@ -54,25 +54,6 @@ func TestADISolverPathWorks(t *testing.T) {
 	}
 }
 
-// TestImplicitSolverObsWiring proves a bare caller-supplied Implicit gets
-// its Gauss-Seidel iteration counter and final-residual gauge filled from
-// Config.Obs.
-func TestImplicitSolverObsWiring(t *testing.T) {
-	cfg := fastConfig(t, "gcc", 3)
-	cfg.Solver = &thermal.Implicit{}
-	cfg.Obs = obs.NewRegistry()
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := cfg.Obs.Snapshot()
-	if got := s.Counters[MetricThermalGSIters]; got < 3 {
-		t.Errorf("%s = %d, want >= one sweep per step", MetricThermalGSIters, got)
-	}
-	if _, ok := s.Gauges[MetricThermalGSResidual]; !ok {
-		t.Errorf("gauge %s missing from snapshot", MetricThermalGSResidual)
-	}
-}
-
 func TestFastSteadyJumpsAndSkips(t *testing.T) {
 	const steps = 12
 	cfg := fastSteadyConfig(t, steps)

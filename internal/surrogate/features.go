@@ -155,15 +155,11 @@ func Features(cfg sim.Config) ([]float64, error) {
 	f.add("mltd_threshold_c", c.Definition.MLTDThreshold)
 	f.add("mltd_radius_mm", c.Definition.Radius)
 
-	implicit, adi := 0.0, 0.0
-	switch c.Solver.(type) {
-	case *thermal.Implicit:
-		implicit = 1
-	case *thermal.ADI:
-		adi = 1
-	}
-	f.add("solver_implicit", implicit)
-	f.add("solver_adi", adi)
+	_, adi := c.Solver.(*thermal.ADI)
+	// solver_implicit stays in the schema so fitted model files keep
+	// loading; "implicit" now names the ADI solver, so it is always 0.
+	f.add("solver_implicit", 0)
+	f.add("solver_adi", boolF(adi))
 
 	prof := c.Workload
 	period := prof.PhasePeriod()

@@ -6,14 +6,15 @@
 // copper heat spreader, thermal grease, and a fan-cooled heatsink with a
 // convective boundary to ambient.
 //
-// Three solvers are provided: an explicit forward-Euler transient solver
-// with an automatically derived stability substep (the default), an
-// implicit backward-Euler solver for large timesteps, and a steady-state
-// SOR solver used for Ψ/TDP computation (Table IV) and idle-warmup
-// initialization.
+// Two transient solvers are provided: an explicit forward-Euler solver
+// with an automatically derived stability substep (the default and the
+// accuracy reference), and an adaptive alternating-direction-implicit
+// (ADI) solver that is unconditionally stable (the campaign fast path and
+// the divergence fallback; the solver name "implicit" is an alias for
+// it). A steady-state SOR solver serves Ψ/TDP computation (Table IV) and
+// idle-warmup initialization.
 //
 // Both transient solvers optionally report their work into internal/obs
 // counters (Substeps, StabilityHits): the explicit solver counts its
-// stability-bounded substeps, the implicit one its inner Gauss-Seidel
-// sweeps and iteration-cap hits.
+// stability-bounded substeps, ADI its substeps and subdivision-cap hits.
 package thermal

@@ -10,9 +10,9 @@ import (
 
 // Solver advances a thermal state by one simulation timestep under a
 // power input (W per cell, one frame per active plane). Implementations:
-// Explicit (default), Implicit (backward Euler, for large steps) and ADI
-// (alternating-direction-implicit with adaptive substepping, the
-// campaign fast solver).
+// Explicit (default, the forward-Euler reference) and ADI
+// (alternating-direction-implicit with adaptive substepping: the
+// unconditionally stable campaign fast solver and divergence fallback).
 //
 // Solvers carry reusable scratch buffers, so a Solver value must not be
 // shared between concurrent Step calls; give each goroutine its own.
@@ -25,18 +25,20 @@ type Solver interface {
 }
 
 // NewSolver constructs a stock solver by name: "" or "explicit" (the
-// forward-Euler reference), "implicit" (backward Euler; tol sets
-// Implicit.Tol) or "adi" (the adaptive ADI fast solver; tol sets
-// ADI.ErrTol). A zero tol keeps the solver's documented default. This
-// is the seam CLI flags and wire specs use, so the names double as the
-// stable external vocabulary for solver selection.
+// forward-Euler reference; tol is ignored) or "adi" (the adaptive ADI
+// fast solver; tol sets ADI.ErrTol). "implicit" is an alias for "adi",
+// kept so that existing scripts and journaled specs keep working. A zero
+// tol keeps the solver's documented default; a NaN or infinite tol is
+// rejected. This is the seam CLI flags and wire specs use, so the names
+// double as the stable external vocabulary for solver selection.
 func NewSolver(name string, tol float64) (Solver, error) {
+	if math.IsNaN(tol) || math.IsInf(tol, 0) {
+		return nil, fmt.Errorf("thermal: solver tolerance %v is not finite", tol)
+	}
 	switch name {
 	case "", "explicit":
 		return &Explicit{}, nil
-	case "implicit":
-		return &Implicit{Tol: tol}, nil
-	case "adi":
+	case "adi", "implicit":
 		return &ADI{ErrTol: tol}, nil
 	default:
 		return nil, fmt.Errorf("thermal: unknown solver %q (want explicit, implicit or adi)", name)
@@ -130,81 +132,6 @@ func (e *Explicit) Step(g *Grid, s *State, power *Power, dt float64) error {
 	if &cur[0] != &s.T[0] {
 		copy(s.T, cur)
 	}
-	return nil
-}
-
-// Implicit is a backward-Euler transient solver using Gauss-Seidel inner
-// iterations. Unconditionally stable, so it takes the full timestep in one
-// solve; used for the solver ablation and for very large timesteps.
-// After the first Step on a grid it performs no per-Step allocations.
-type Implicit struct {
-	// MaxIters bounds the inner Gauss-Seidel sweeps (default 60).
-	MaxIters int
-	// Tol is the max per-sweep temperature change at which the inner
-	// solve stops [°C] (default 1e-5).
-	Tol float64
-
-	scratch []float64
-	zero    []float64
-	lp      [][]float64
-
-	// Substeps, when set, counts the inner Gauss-Seidel sweeps executed
-	// (the implicit analogue of the explicit solver's substeps; sim
-	// surfaces it as thermal/gs_iters).
-	Substeps *obs.Counter
-	// StabilityHits counts Step calls whose inner solve hit MaxIters
-	// without reaching Tol.
-	StabilityHits *obs.Counter
-	// Residual, when set, records the last Step's final sweep residual —
-	// the max per-cell temperature change of the sweep that ended the
-	// inner solve (sim surfaces it as thermal/gs_residual).
-	Residual *obs.Gauge
-}
-
-// Name implements Solver.
-func (im *Implicit) Name() string { return "implicit" }
-
-// Step implements Solver.
-func (im *Implicit) Step(g *Grid, s *State, power *Power, dt float64) error {
-	if err := g.checkPower(power); err != nil {
-		return err
-	}
-	if dt <= 0 {
-		return fmt.Errorf("thermal: non-positive dt %v", dt)
-	}
-	maxIters := im.MaxIters
-	if maxIters <= 0 {
-		maxIters = 60
-	}
-	tol := im.Tol
-	if tol <= 0 {
-		tol = 1e-5
-	}
-	old := s.T
-	if cap(im.scratch) < len(old) {
-		im.scratch = make([]float64, len(old))
-	}
-	if cap(im.zero) < g.NX {
-		im.zero = make([]float64, g.NX)
-	}
-	im.lp = g.layerPower(power, im.lp)
-	t := im.scratch[:len(old)]
-	copy(t, old)
-	converged := false
-	residual := math.Inf(1)
-	for it := 0; it < maxIters; it++ {
-		im.Substeps.Inc()
-		residual = gsSweep(g, old, t, im.lp, im.zero[:g.NX], dt)
-		if residual < tol {
-			converged = true
-			break
-		}
-	}
-	im.Residual.Set(residual)
-	if !converged {
-		im.StabilityHits.Inc()
-	}
-	copy(s.T, t)
 	return nil
 }
 

@@ -120,8 +120,9 @@ func TestSolverAccuracyTable(t *testing.T) {
 		{"adi/dt=5", func() Solver { return &ADI{} }, 5, 1e-2},
 		{"adi/dt=20", func() Solver { return &ADI{} }, 20, 0.05},
 		{"adi/dt=75", func() Solver { return &ADI{} }, 75, 0.1},
-		{"implicit/dt=20", func() Solver { return &Implicit{} }, 20, 0.15},
-		{"implicit/dt=75", func() Solver { return &Implicit{} }, 75, 0.3},
+		// "implicit" is a name alias for ADI and carries its contract.
+		{"implicit/dt=20", func() Solver { return mustNewSolver(t, "implicit") }, 20, 0.05},
+		{"implicit/dt=75", func() Solver { return mustNewSolver(t, "implicit") }, 75, 0.1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,4 +270,13 @@ func TestADIStepNoAllocsAfterWarmup(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ADI.Step allocates %v objects per call after warmup", allocs)
 	}
+}
+
+func mustNewSolver(t *testing.T, name string) Solver {
+	t.Helper()
+	s, err := NewSolver(name, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

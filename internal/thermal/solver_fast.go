@@ -1,17 +1,14 @@
 package thermal
 
-import (
-	"math"
-	"runtime"
-)
+import "runtime"
 
-// Optimized kernels. Both solvers spend essentially all of their time in
-// a 3-D seven-point stencil whose textbook form (solver_ref.go) pays
+// Optimized explicit kernel. The explicit solver spends essentially all
+// of its time in a 3-D seven-point stencil whose textbook form (solver_ref.go) pays
 // seven data-dependent branches per cell for boundary handling. The
 // kernels here peel the boundaries instead: per row, every absent
 // neighbour gets a zero conductance paired with a subslice that aliases
 // the row itself, so the interior loops are branch-free and bounds-check
-// friendly. The explicit kernel additionally rewrites the flux into sum
+// friendly. The kernel additionally rewrites the flux into sum
 // form, Σ gᵢ·Tᵢ − gSum·T with gSum hoisted per row, which nearly halves
 // the per-cell FP work; the reassociation stays within a few ulp of the
 // reference (validated to 1e-9 in solver_equiv_test.go). Rows are
@@ -112,81 +109,6 @@ func stepRows(g *Grid, cur, next []float64, power [][]float64, zeros []float64, 
 		ix := nx - 1
 		o[ix] = stepCell(c[ix], gl*c[ix-1]+gN*nn[ix]+gS*ss[ix], gDown, dd[ix], gUp, uu[ix], cp, pw[ix], gEdge, invC)
 	}
-}
-
-// gsSweep performs one in-place Gauss-Seidel sweep of the backward-Euler
-// system and returns the largest per-cell update. Cells update in the
-// same row-major order as gsSweepRef, so the mixed old/new neighbour
-// reads — the defining property of Gauss-Seidel — are preserved. power
-// holds one plane slice per grid layer (nil for passive layers). It
-// cannot be parallelized without changing the iteration (it would become
-// a Jacobi/red-black variant).
-func gsSweep(g *Grid, old, t []float64, power [][]float64, zeros []float64, dt float64) float64 {
-	nx, ny, nl := g.NX, g.NY, g.NL
-	plane := nx * ny
-	amb := g.Ambient
-	maxDelta := 0.0
-	rows := nl * ny
-	for r := 0; r < rows; r++ {
-		l, iy := r/ny, r%ny
-		gl := g.gLat[l]
-		cOverDt := g.capC[l] / dt
-		i0 := r * nx
-
-		gN, gS, gDown, gUp, convG := 0.0, 0.0, 0.0, 0.0, 0.0
-		nOff, sOff, dOff, uOff := 0, 0, 0, 0
-		if iy > 0 {
-			gN, nOff = gl, nx
-		}
-		if iy < ny-1 {
-			gS, sOff = gl, nx
-		}
-		if l > 0 {
-			gDown, dOff = g.gUp[l-1], plane
-		}
-		if l < nl-1 {
-			gUp, uOff = g.gUp[l], plane
-		} else {
-			convG = g.gConv
-		}
-		c := t[i0 : i0+nx]
-		nn := t[i0-nOff : i0-nOff+nx]
-		ss := t[i0+sOff : i0+sOff+nx]
-		dd := t[i0-dOff : i0-dOff+nx]
-		uu := t[i0+uOff : i0+uOff+nx]
-		pw := zeros[:nx]
-		if lpw := power[l]; lpw != nil {
-			pw = lpw[iy*nx : iy*nx+nx]
-		}
-		oo := old[i0 : i0+nx]
-
-		// The denominator only depends on which neighbours exist, so it
-		// is row-invariant except for the lateral terms at the edges.
-		convNum := convG * amb
-		denEdge := cOverDt + gl + gN + gS + gDown + gUp + convG
-		denInt := denEdge + gl
-
-		gs := func(ix int, lat, den float64) {
-			num := cOverDt*oo[ix] + lat + (gN*nn[ix] + gS*ss[ix])
-			num += gDown*dd[ix] + gUp*uu[ix]
-			num += convNum + pw[ix]
-			nv := num / den
-			if d := math.Abs(nv - c[ix]); d > maxDelta {
-				maxDelta = d
-			}
-			c[ix] = nv
-		}
-		if nx == 1 {
-			gs(0, 0, denEdge-gl)
-			continue
-		}
-		gs(0, gl*c[1], denEdge)
-		for ix := 1; ix < nx-1; ix++ {
-			gs(ix, gl*c[ix-1]+gl*c[ix+1], denInt)
-		}
-		gs(nx-1, gl*c[nx-2], denEdge)
-	}
-	return maxDelta
 }
 
 // workerCount resolves how many row-band goroutines an explicit substep

@@ -1,11 +1,9 @@
 package thermal
 
-import "math"
-
 // Reference kernels. These are the original, branchy, textbook
-// formulations of the explicit substep and the implicit Gauss-Seidel
-// sweep. The optimized kernels in solver_fast.go are validated against
-// them cell-for-cell (see solver_equiv_test.go); keep these in sync with
+// formulations of the explicit substep and the Douglas–Gunn ADI substep.
+// The optimized kernels in solver_fast.go and solver_adi.go are
+// validated against them cell-for-cell (see solver_equiv_test.go); keep these in sync with
 // the physics, never with the optimizations.
 
 // stepOnceRef performs one explicit substep from cur into next,
@@ -181,73 +179,4 @@ func thomasRef(a, b, c, d []float64) []float64 {
 		x[i] = dp[i] - cp[i]*x[i+1]
 	}
 	return x
-}
-
-// gsSweepRef performs one in-place Gauss-Seidel sweep of the backward-
-// Euler system and returns the largest per-cell update, evaluating the
-// boundary conditions with per-cell branches. power holds one plane
-// slice per grid layer (nil for passive layers).
-func gsSweepRef(g *Grid, old, t []float64, power [][]float64, dt float64) float64 {
-	nx, ny, nl := g.NX, g.NY, g.NL
-	plane := nx * ny
-	maxDelta := 0.0
-	for l := 0; l < nl; l++ {
-		gl := g.gLat[l]
-		cOverDt := g.capC[l] / dt
-		base := l * plane
-		top := l == nl-1
-		pw := power[l]
-		var gUp, gDown float64
-		if l < nl-1 {
-			gUp = g.gUp[l]
-		}
-		if l > 0 {
-			gDown = g.gUp[l-1]
-		}
-		for iy := 0; iy < ny; iy++ {
-			row := base + iy*nx
-			for ix := 0; ix < nx; ix++ {
-				i := row + ix
-				num := cOverDt * old[i]
-				den := cOverDt
-				if ix > 0 {
-					num += gl * t[i-1]
-					den += gl
-				}
-				if ix < nx-1 {
-					num += gl * t[i+1]
-					den += gl
-				}
-				if iy > 0 {
-					num += gl * t[i-nx]
-					den += gl
-				}
-				if iy < ny-1 {
-					num += gl * t[i+nx]
-					den += gl
-				}
-				if gDown != 0 {
-					num += gDown * t[i-plane]
-					den += gDown
-				}
-				if gUp != 0 {
-					num += gUp * t[i+plane]
-					den += gUp
-				}
-				if top {
-					num += g.gConv * g.Ambient
-					den += g.gConv
-				}
-				if pw != nil {
-					num += pw[i-base]
-				}
-				nv := num / den
-				if d := math.Abs(nv - t[i]); d > maxDelta {
-					maxDelta = d
-				}
-				t[i] = nv
-			}
-		}
-	}
-	return maxDelta
 }

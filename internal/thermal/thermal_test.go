@@ -254,50 +254,6 @@ func TestSymmetryPreserved(t *testing.T) {
 	}
 }
 
-func TestImplicitMatchesExplicit(t *testing.T) {
-	g := newTestGrid(t)
-	p := geometry.NewField(g.NX, g.NY, g.Dx*1e3)
-	p.Set(g.NX/3, g.NY/3, 1.5)
-	p.Set(2*g.NX/3, g.NY/2, 0.8)
-
-	se := g.NewState(DefaultAmbient)
-	si := g.NewState(DefaultAmbient)
-	var ex Explicit
-	im := Implicit{MaxIters: 200, Tol: 1e-7}
-	pw := NewPower(p)
-	for i := 0; i < 10; i++ {
-		if err := ex.Step(g, se, pw, 100e-6); err != nil {
-			t.Fatal(err)
-		}
-		if err := im.Step(g, si, pw, 100e-6); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fe, fi := g.ActiveField(se), g.ActiveField(si)
-	for i := range fe.Data {
-		if d := math.Abs(fe.Data[i] - fi.Data[i]); d > 0.5 {
-			t.Fatalf("solvers disagree by %.2f °C at cell %d (T=%.2f vs %.2f)",
-				d, i, fe.Data[i], fi.Data[i])
-		}
-	}
-}
-
-func TestImplicitStableAtHugeTimestep(t *testing.T) {
-	g := newTestGrid(t)
-	s := g.NewState(DefaultAmbient)
-	im := Implicit{}
-	p := uniformPower(g, 10)
-	// One 50 ms step: far beyond the explicit stability bound.
-	if err := im.Step(g, s, p, 50e-3); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range s.T {
-		if math.IsNaN(v) || v < DefaultAmbient-1 || v > 500 {
-			t.Fatalf("implicit produced unphysical temperature %v", v)
-		}
-	}
-}
-
 func TestPsiMatchesTableIV(t *testing.T) {
 	want := map[tech.Node]float64{tech.Node14: 0.96, tech.Node10: 1.13, tech.Node7: 1.40}
 	prev := 0.0
@@ -360,9 +316,57 @@ func TestSolverRejectsBadInput(t *testing.T) {
 	if err := e.Step(g, s, uniformPower(g, 1), -1); err == nil {
 		t.Fatal("negative dt accepted")
 	}
-	var im Implicit
-	if err := im.Step(g, s, nil, 1e-4); err == nil {
-		t.Fatal("implicit: nil power accepted")
+	var a ADI
+	if err := a.Step(g, s, nil, 1e-4); err == nil {
+		t.Fatal("adi: nil power accepted")
+	}
+	if err := a.Step(g, s, uniformPower(g, 1), -1); err == nil {
+		t.Fatal("adi: negative dt accepted")
+	}
+}
+
+// TestNewSolverNames pins the external solver vocabulary: "" and
+// "explicit" build the forward-Euler reference, "adi" the ADI solver, and
+// "implicit" is an alias for ADI whose tol is ADI's per-step error budget.
+func TestNewSolverNames(t *testing.T) {
+	for _, name := range []string{"", "explicit"} {
+		sv, err := NewSolver(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sv.(*Explicit); !ok {
+			t.Fatalf("NewSolver(%q) = %T, want *Explicit", name, sv)
+		}
+	}
+	for _, name := range []string{"adi", "implicit"} {
+		sv, err := NewSolver(name, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, ok := sv.(*ADI)
+		if !ok {
+			t.Fatalf("NewSolver(%q) = %T, want *ADI", name, sv)
+		}
+		if a.ErrTol != 0.02 {
+			t.Fatalf("NewSolver(%q): ErrTol %v, want 0.02", name, a.ErrTol)
+		}
+	}
+	if _, err := NewSolver("gauss-seidel", 0); err == nil {
+		t.Fatal("unknown solver name accepted")
+	}
+}
+
+// TestNewSolverRejectsNonFiniteTol: a NaN budget would make ADI's
+// est <= tol test always false (every step climbs to MaxSubsteps), and
+// either NaN or ±Inf would leak into the config hash; every name,
+// including those that ignore tol, must refuse them.
+func TestNewSolverRejectsNonFiniteTol(t *testing.T) {
+	for _, name := range []string{"", "explicit", "implicit", "adi"} {
+		for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if sv, err := NewSolver(name, tol); err == nil {
+				t.Errorf("NewSolver(%q, %v) = %T, want an error", name, tol, sv)
+			}
+		}
 	}
 }
 
