@@ -84,14 +84,19 @@ fuzzsmoke:
 	$(GO) test -run=NONE -fuzz='^FuzzRemoteResultEnvelope$$' -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run=NONE -fuzz='^FuzzConfigSpecDecode$$' -fuzztime=$(FUZZTIME) ./internal/serve/
 
-# The predict-first triage e2e: a ≥50-run campaign simulates exactly
-# (the control), a surrogate is fitted from the control's result store,
-# and the same campaign replays through a surrogate-holding daemon; the
-# test asserts at most half the runs execute exactly, every
-# control-frontier run (severity ≥ 0.5) is exact-verified with the
-# control's severity (zero false negatives), and the audit MAE is
-# exposed via metrics and /report. Env-gated: it runs the campaign twice.
+# Predict-first triage under the race detector. First the unit tests of
+# the one triage sequence (Score → PredictedResult, or execute then
+# ObserveAudit) in internal/sim and in its single-run CLI driver. Then
+# the e2e: a ≥50-run campaign simulates exactly (the control), a
+# surrogate is fitted from the control's result store, and the same
+# campaign replays through a surrogate-holding daemon; the test asserts
+# at most half the runs execute exactly, every control-frontier run
+# (severity ≥ 0.5) is exact-verified with the control's severity (zero
+# false negatives), and the audit MAE is exposed via metrics and
+# /report. The e2e is env-gated: it runs the campaign twice.
 triagecheck:
+	$(GO) test -race -count=1 -run 'Triage|Audit|Predicted' ./internal/sim/
+	$(GO) test -race -count=1 -run '^TestExecuteTriage$$' ./cmd/hotgauge/
 	HOTGAUGE_TRIAGE_E2E=1 $(GO) test -race -count=1 -run '^TestTriageE2E$$' -v ./internal/serve/
 
 # Kernel + end-to-end benchmarks with benchstat-ready repetition; the raw

@@ -237,8 +237,39 @@ func run(o options) error {
 		fmt.Printf("activity trace recorded to %s\n", o.saveTrace)
 	}
 
+	var pred sim.Predictor
 	if o.surrogatePath != "" {
-		return runTriaged(o, cfg)
+		model, err := surrogate.Load(o.surrogatePath)
+		if err != nil {
+			return err
+		}
+		pred = model
+	}
+	return execute(o, cfg, pred)
+}
+
+// execute runs cfg and prints its report. With a non-nil pred the run is
+// triaged predict-first, in the same sequence hotgauged follows: Score
+// the config; a skip decision prints the predicted-only estimate (there
+// are no series, so no heatmap or artifacts); any other decision runs
+// the pipeline exactly, prints the plain report plus the
+// predicted-vs-exact line, and scores audit picks into
+// surrogate/audit_error.
+func execute(o options, cfg sim.Config, pred sim.Predictor) error {
+	var (
+		tr *sim.Triager
+		d  sim.TriageDecision
+	)
+	if pred != nil {
+		cfg.Surrogate = true
+		cfg.TriageBand = o.triageBand
+		cfg.AuditFrac = o.auditFrac
+		tr = sim.NewTriager(pred, cfg.Obs)
+		d = tr.Score(cfg)
+		if !d.ExactRun {
+			printPredictedSummary(cfg, tr.PredictedResult(cfg, d))
+			return writeMetrics(o.metricsJSON, cfg.Obs)
+		}
 	}
 
 	res, err := sim.Run(cfg)
@@ -246,6 +277,12 @@ func run(o options) error {
 		return err
 	}
 	printSummary(cfg, res)
+	if d.Prediction != nil {
+		exact := maxOf(res.Severity)
+		fmt.Printf("surrogate: predicted severity %.3f vs exact %.3f (confidence %.2f)\n",
+			d.Prediction.Severity, exact, d.Prediction.Confidence)
+		tr.ObserveAudit(d, exact) // scores audit picks only
+	}
 	if o.heatmap {
 		fmt.Println("\nfinal junction temperature map:")
 		fmt.Print(report.Heatmap(res.FinalField))
@@ -253,11 +290,8 @@ func run(o options) error {
 	if o.verbose {
 		printStages(cfg.Obs)
 	}
-	if o.metricsJSON != "" {
-		if err := obs.WriteMetricsJSON(o.metricsJSON, cfg.Obs); err != nil {
-			return err
-		}
-		fmt.Printf("\nmetrics written to %s\n", o.metricsJSON)
+	if err := writeMetrics(o.metricsJSON, cfg.Obs); err != nil {
+		return err
 	}
 	if o.outDir != "" {
 		if err := writeArtifacts(o.outDir, res); err != nil {
@@ -268,56 +302,15 @@ func run(o options) error {
 	return nil
 }
 
-// runTriaged routes the run through predict-first triage: the surrogate
-// scores it, and only frontier / low-confidence / audit-selected runs
-// simulate exactly. Predicted-only resolutions print the estimate (no
-// heatmap or artifacts — there are no series to write).
-func runTriaged(o options, cfg sim.Config) error {
-	model, err := surrogate.Load(o.surrogatePath)
-	if err != nil {
+// writeMetrics dumps reg as JSON to path (no-op when path is empty).
+func writeMetrics(path string, reg *obs.Registry) error {
+	if path == "" {
+		return nil
+	}
+	if err := obs.WriteMetricsJSON(path, reg); err != nil {
 		return err
 	}
-	cfg.Surrogate = true
-	cfg.TriageBand = o.triageBand
-	cfg.AuditFrac = o.auditFrac
-	results, err := sim.CampaignOpts([]sim.Config{cfg}, sim.CampaignOptions{
-		Workers: 1,
-		Obs:     cfg.Obs,
-		Triage:  &sim.TriageOptions{Predictor: model},
-	})
-	if err != nil {
-		return err
-	}
-	res := results[0]
-	if res.Predicted {
-		printPredictedSummary(cfg, res)
-	} else {
-		printSummary(cfg, res)
-		if res.Prediction != nil {
-			exact := maxOf(res.Severity)
-			fmt.Printf("surrogate: predicted severity %.3f vs exact %.3f (confidence %.2f)\n",
-				res.Prediction.Severity, exact, res.Prediction.Confidence)
-		}
-		if o.heatmap {
-			fmt.Println("\nfinal junction temperature map:")
-			fmt.Print(report.Heatmap(res.FinalField))
-		}
-		if o.verbose {
-			printStages(cfg.Obs)
-		}
-		if o.outDir != "" {
-			if err := writeArtifacts(o.outDir, res); err != nil {
-				return err
-			}
-			fmt.Printf("\nartifacts written to %s\n", o.outDir)
-		}
-	}
-	if o.metricsJSON != "" {
-		if err := obs.WriteMetricsJSON(o.metricsJSON, cfg.Obs); err != nil {
-			return err
-		}
-		fmt.Printf("\nmetrics written to %s\n", o.metricsJSON)
-	}
+	fmt.Printf("\nmetrics written to %s\n", path)
 	return nil
 }
 
@@ -422,7 +415,12 @@ func printSummary(cfg sim.Config, res *sim.Result) {
 		for k, c := range res.HotspotUnit {
 			kinds = append(kinds, kc{k, c})
 		}
-		sort.Slice(kinds, func(a, b int) bool { return kinds[a].c > kinds[b].c })
+		sort.Slice(kinds, func(a, b int) bool {
+			if kinds[a].c != kinds[b].c {
+				return kinds[a].c > kinds[b].c
+			}
+			return kinds[a].k < kinds[b].k // map order must not reach the output
+		})
 		fmt.Println("hotspot locations by unit kind:")
 		for _, e := range kinds {
 			fmt.Printf("  %-10s %d\n", e.k, e.c)

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Backoff defaults, mirroring sim.RetryPolicy's: the cluster's RPC
-// retries and the simulator's run retries decorrelate the same way.
+// Backoff defaults, the same base, cap and seed as sim.RetryPolicy's
+// backoff.
 const (
 	defaultBackoffBase = 50 * time.Millisecond
 	defaultBackoffMax  = 2 * time.Second

@@ -266,7 +266,7 @@ func New(opts Options) (*Server, error) {
 		mOrphanLeases: opts.Registry.Counter(cluster.MetricOrphanLeases),
 	}
 	if opts.Surrogate != nil {
-		s.triager = sim.NewTriager(sim.TriageOptions{Predictor: opts.Surrogate}, opts.Registry)
+		s.triager = sim.NewTriager(opts.Surrogate, opts.Registry)
 	}
 	if opts.FaultRate > 0 {
 		s.wrapCfg = injectFaults(opts.FaultRate, opts.FaultSeed)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -15,23 +14,16 @@ import (
 // Progress is a point-in-time view of a campaign's advancement,
 // delivered to CampaignOptions.OnProgress after every completed run.
 type Progress struct {
-	// Completed is how many runs have finished, including failures and
-	// predicted-only resolutions.
+	// Completed is how many runs have finished, including failures.
 	Completed int
 	// Failed is how many of those returned an error.
 	Failed int
-	// Predicted is how many completed runs were resolved predicted-only
-	// by surrogate triage, without executing the pipeline.
-	Predicted int
 	// Total is the campaign size.
 	Total int
 	// Elapsed is the wall time since the campaign started.
 	Elapsed time.Duration
 	// ETA is the estimated remaining wall time, extrapolated from the
-	// mean per-run time of the exactly executed runs so far —
-	// predicted-only runs finish in microseconds and would wreck the
-	// estimate if they counted — zero until the first exact run
-	// completes and after the last.
+	// mean per-run time so far; zero after the last run.
 	ETA time.Duration
 }
 
@@ -43,35 +35,13 @@ type CampaignOptions struct {
 	// Obs, when non-nil, is threaded into every run whose own
 	// Config.Obs is nil, aggregating per-stage timers and counters
 	// across workers (all metrics are atomic). The campaign itself
-	// records campaign/total, campaign/completed, campaign/failed,
-	// campaign/predicted and the live campaign/progress and
-	// campaign/eta_seconds gauges, plus the surrogate/* triage metrics
-	// when Triage is enabled.
+	// records campaign/total, campaign/completed, campaign/failed and
+	// the live campaign/progress and campaign/eta_seconds gauges.
 	Obs *obs.Registry
 	// OnProgress, when non-nil, is invoked after every completed run.
 	// Calls are serialized; keep it cheap (it runs on worker
 	// goroutines).
 	OnProgress func(Progress)
-	// OnResult, when non-nil, is invoked with each run's index, result
-	// and error as it completes (before the matching OnProgress call).
-	// Calls are serialized with OnProgress; keep it cheap. Runs skipped
-	// by a cancelled context report a nil result and the context error.
-	OnResult func(i int, r *Result, err error)
-	// RunTimeout, when positive, is the per-run wall-time budget applied
-	// to every config whose own MaxWallTime is zero. A run exceeding it
-	// fails with a *RunTimeoutError; its siblings are unaffected.
-	RunTimeout time.Duration
-	// Retry re-attempts runs that failed with a Retryable error (see
-	// RunWithRetry). The zero policy never retries.
-	Retry RetryPolicy
-	// Triage, when non-nil with a Predictor, enables predict-first
-	// triage: every config with Config.Surrogate set is scored before
-	// the workers start, runs the surrogate confidently places clearly
-	// below the hotspot threshold resolve instantly as predicted-only
-	// results (Result.Predicted), and only the frontier, low-confidence
-	// and audit-selected runs execute the full pipeline. Configs without
-	// Config.Surrogate always execute exactly. See TriageOptions.
-	Triage *TriageOptions
 }
 
 // Campaign runs a batch of configurations in parallel across CPUs,
@@ -85,16 +55,6 @@ func Campaign(cfgs []Config) ([]*Result, error) {
 // CampaignOpts is Campaign with worker, observability and progress
 // controls.
 func CampaignOpts(cfgs []Config, opts CampaignOptions) ([]*Result, error) {
-	return CampaignCtx(context.Background(), cfgs, opts)
-}
-
-// CampaignCtx is CampaignOpts with cooperative cancellation. Once ctx is
-// cancelled, in-flight runs abort at their next step boundary (see
-// RunCtx) and queued runs are skipped entirely; every aborted or skipped
-// run contributes ctx.Err() to the joined error and still counts toward
-// Progress.Completed/Failed, so progress consumers observe the campaign
-// reaching Total even when it is cut short.
-func CampaignCtx(ctx context.Context, cfgs []Config, opts CampaignOptions) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	workers := opts.Workers
@@ -107,13 +67,12 @@ func CampaignCtx(ctx context.Context, cfgs []Config, opts CampaignOptions) ([]*R
 	reg.Gauge("campaign/total").Set(float64(len(cfgs)))
 	completedC := reg.Counter("campaign/completed")
 	failedC := reg.Counter("campaign/failed")
-	predictedC := reg.Counter("campaign/predicted")
 	progressG := reg.Gauge("campaign/progress")
 	etaG := reg.Gauge("campaign/eta_seconds")
 
 	var mu sync.Mutex
-	completed, failed, predicted := 0, 0, 0
-	finish := func(i int, res *Result, runErr error) {
+	completed, failed := 0, 0
+	finish := func(runErr error) {
 		mu.Lock()
 		defer mu.Unlock()
 		completed++
@@ -122,26 +81,14 @@ func CampaignCtx(ctx context.Context, cfgs []Config, opts CampaignOptions) ([]*R
 			failed++
 			failedC.Inc()
 		}
-		if res != nil && res.Predicted {
-			predicted++
-			predictedC.Inc()
-		}
-		if opts.OnResult != nil {
-			opts.OnResult(i, res, runErr)
-		}
 		p := Progress{
 			Completed: completed,
 			Failed:    failed,
-			Predicted: predicted,
 			Total:     len(cfgs),
 			Elapsed:   time.Since(start),
 		}
-		// The ETA extrapolates from exact executions only: predicted-only
-		// runs resolve near-instantly up front, and dividing elapsed time
-		// by a count they inflate would make a triaged campaign look
-		// nearly done when its exact runs have barely started.
-		if exact := completed - predicted; completed < p.Total && exact > 0 {
-			p.ETA = time.Duration(float64(p.Elapsed) / float64(exact) * float64(p.Total-completed))
+		if completed < p.Total {
+			p.ETA = time.Duration(float64(p.Elapsed) / float64(completed) * float64(p.Total-completed))
 		}
 		progressG.Set(float64(completed) / float64(max(1, p.Total)))
 		etaG.Set(p.ETA.Seconds())
@@ -150,34 +97,11 @@ func CampaignCtx(ctx context.Context, cfgs []Config, opts CampaignOptions) ([]*R
 		}
 	}
 
-	// Predict-first triage: score every surrogate-flagged config before
-	// the workers start. Skipped runs resolve immediately as
-	// predicted-only results; the rest carry their decision so the exact
-	// result can be compared against the prediction (and audited).
-	var triager *Triager
-	decisions := make([]TriageDecision, len(cfgs))
-	scored := make([]bool, len(cfgs))
-	if opts.Triage != nil && opts.Triage.Predictor != nil {
-		triager = NewTriager(*opts.Triage, reg)
-		for i := range cfgs {
-			if !cfgs[i].Surrogate {
-				continue
-			}
-			decisions[i] = triager.Score(cfgs[i])
-			scored[i] = true
-			if !decisions[i].ExactRun {
-				results[i] = triager.PredictedResult(cfgs[i], decisions[i])
-				finish(i, results[i], nil)
-			}
-		}
-	}
-
-	// runOne executes one run with the campaign's retry policy, behind a
-	// worker-level recover: RunCtx already isolates panics on the run
-	// path, so this backstop only catches panics in the thin retry or
-	// bookkeeping code around it — either way a panic costs one run, not
-	// the pool.
-	panicsC := opts.Obs.Counter(MetricPanics)
+	// runOne executes one run behind a worker-level recover: Run already
+	// isolates panics on the run path, so this backstop only catches
+	// panics in the thin bookkeeping code around it — either way a panic
+	// costs one run, not the pool.
+	panicsC := reg.Counter(MetricPanics)
 	runOne := func(i int) (res *Result, err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -187,12 +111,9 @@ func CampaignCtx(ctx context.Context, cfgs []Config, opts CampaignOptions) ([]*R
 		}()
 		cfg := cfgs[i]
 		if cfg.Obs == nil {
-			cfg.Obs = opts.Obs
+			cfg.Obs = reg
 		}
-		if cfg.MaxWallTime <= 0 {
-			cfg.MaxWallTime = opts.RunTimeout
-		}
-		return RunWithRetry(ctx, cfg, opts.Retry)
+		return Run(cfg)
 	}
 
 	// Bounded worker pool: a fixed set of workers pulls run indices from
@@ -206,27 +127,12 @@ func CampaignCtx(ctx context.Context, cfgs []Config, opts CampaignOptions) ([]*R
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if ctx.Err() != nil {
-					err := context.Cause(ctx)
-					if err == nil {
-						err = ctx.Err()
-					}
-					errs[i] = err
-					finish(i, nil, err)
-					continue
-				}
 				results[i], errs[i] = runOne(i)
-				if triager != nil && scored[i] && errs[i] == nil {
-					triager.ObserveExact(decisions[i], results[i])
-				}
-				finish(i, results[i], errs[i])
+				finish(errs[i])
 			}
 		}()
 	}
 	for i := range cfgs {
-		if results[i] != nil && results[i].Predicted {
-			continue // resolved by triage before dispatch
-		}
 		jobs <- i
 	}
 	close(jobs)

@@ -137,15 +137,16 @@ type Config struct {
 	// |P| (0 = 1e-3).
 	FastSteadyTol float64
 
-	// Surrogate opts this run into predict-first triage when it executes
-	// inside a campaign with CampaignOptions.Triage set: the surrogate
-	// model scores the config first, and the full pipeline runs only when
-	// the predicted severity lands within TriageBand of the hotspot
-	// threshold, the prediction's confidence is low, or the run is
-	// audit-selected — otherwise the campaign records a predicted-only
-	// Result. Part of Config.Hash (a predicted-only result must never be
-	// cached under an exact run's address); RunCtx itself ignores it, so
-	// an exact-verified triaged run is bit-identical to an untriaged one.
+	// Surrogate opts this run into predict-first triage when it is
+	// submitted to a surrogate-holding hotgauged or run by hotgauge
+	// -surrogate: a Triager scores the config first, and the full
+	// pipeline runs only when the predicted severity lands within
+	// TriageBand of the hotspot threshold, the prediction's confidence is
+	// low, or the run is audit-selected — otherwise the caller records a
+	// predicted-only Result. Part of Config.Hash (a predicted-only result
+	// must never be cached under an exact run's address); RunCtx itself
+	// ignores it, so an exact-verified triaged run is bit-identical to an
+	// untriaged one.
 	Surrogate bool
 	// TriageBand is the guard band below the severity threshold within
 	// which predicted runs are exact-verified anyway (0 = 0.1; negative
@@ -311,19 +312,7 @@ func (c *Config) normalize() error {
 		}
 	}
 	if c.Surrogate {
-		if c.TriageBand == 0 {
-			c.TriageBand = DefaultTriageBand
-		} else if c.TriageBand < 0 {
-			c.TriageBand = 0
-		}
-		if c.AuditFrac == 0 {
-			c.AuditFrac = DefaultAuditFraction
-		} else if c.AuditFrac < 0 {
-			c.AuditFrac = 0
-		}
-		if c.AuditFrac > 1 {
-			c.AuditFrac = 1
-		}
+		c.TriageBand, c.AuditFrac = resolveTriageKnobs(c.TriageBand, c.AuditFrac)
 	} else {
 		// Triage knobs without Surrogate are inert: zero them so they
 		// never perturb the content address of an ordinary run.

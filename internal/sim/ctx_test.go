@@ -52,76 +52,3 @@ func TestRunDelegatesToRunCtx(t *testing.T) {
 		t.Fatalf("StepsRun = %d, want 3", res.StepsRun)
 	}
 }
-
-func TestCampaignCtxSkipsQueuedRuns(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfgs := make([]Config, 5)
-	for i := range cfgs {
-		cfgs[i] = fastConfig(t, "gcc", 3)
-	}
-	var progress []Progress
-	var resultOrder []int
-	results, err := CampaignCtx(ctx, cfgs, CampaignOptions{
-		Workers: 1,
-		OnResult: func(i int, _ *Result, _ error) {
-			resultOrder = append(resultOrder, i)
-		},
-		OnProgress: func(p Progress) {
-			progress = append(progress, p)
-			if p.Completed == 1 {
-				cancel() // first run done: skip the rest
-			}
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("joined error %v does not wrap context.Canceled", err)
-	}
-	if results[0] == nil {
-		t.Fatal("run 0 completed before cancellation but has no result")
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i] != nil {
-			t.Fatalf("run %d should have been skipped, got result", i)
-		}
-	}
-	// Even a cut-short campaign reports progress all the way to Total.
-	last := progress[len(progress)-1]
-	if last.Completed != 5 || last.Failed != 4 {
-		t.Fatalf("final progress %+v, want Completed=5 Failed=4", last)
-	}
-	if len(resultOrder) != 5 {
-		t.Fatalf("OnResult fired %d times, want 5", len(resultOrder))
-	}
-}
-
-func TestCampaignCtxOnResultIndices(t *testing.T) {
-	cfgs := make([]Config, 3)
-	for i := range cfgs {
-		cfgs[i] = fastConfig(t, "gcc", 2)
-	}
-	cfgs[1].Steps = -1 // invalid: fails validation
-	seen := map[int]bool{}
-	var failures int
-	results, err := CampaignCtx(context.Background(), cfgs, CampaignOptions{
-		Workers: 2,
-		OnResult: func(i int, r *Result, runErr error) {
-			seen[i] = true
-			if runErr != nil {
-				failures++
-			}
-			if (r == nil) == (runErr == nil) {
-				t.Errorf("run %d: exactly one of result/error must be set (r=%v err=%v)", i, r, runErr)
-			}
-		},
-	})
-	if err == nil {
-		t.Fatal("want joined error for the invalid run")
-	}
-	if len(seen) != 3 || failures != 1 {
-		t.Fatalf("OnResult saw %d runs (%d failures), want 3 runs, 1 failure", len(seen), failures)
-	}
-	if results[0] == nil || results[2] == nil || results[1] != nil {
-		t.Fatalf("unexpected result pattern: %v", results)
-	}
-}

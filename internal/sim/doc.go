@@ -13,12 +13,18 @@
 //
 // Runs are fault-isolated: RunCtx recovers panics into per-run
 // *PanicErrors (sim/panics), enforces the per-run wall-time budget of
-// Config.MaxWallTime / CampaignOptions.RunTimeout at step boundaries
-// (*RunTimeoutError, sim/timeouts), and fails non-finite solves with
-// *SolverDivergedError. RunWithRetry re-attempts Retryable failures with
-// exponential backoff + jitter (sim/retries), falling a diverging solve
-// back to the unconditionally stable ADI solver; the returned Result
-// always carries the caller's pristine Config.
+// Config.MaxWallTime at step boundaries (*RunTimeoutError,
+// sim/timeouts), and fails non-finite solves with *SolverDivergedError.
+// RunWithRetry re-attempts Retryable failures with exponential backoff +
+// jitter (sim/retries), falling a diverging solve back to the
+// unconditionally stable ADI solver; the returned Result always carries
+// the caller's pristine Config.
+//
+// Predict-first triage lives in Triager: Score a surrogate-flagged
+// config, then either take PredictedResult in place of the run or
+// execute it and pass an audit pick's exact peak severity to
+// ObserveAudit. hotgauged and hotgauge -surrogate are its two drivers;
+// Campaign does not triage.
 //
 // When Config.Obs is set, Run records per-stage wall time (setup, perf,
 // power, thermal, detect, record — the Metric* names in metrics.go) and

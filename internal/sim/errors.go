@@ -22,8 +22,8 @@ func (e *PanicError) Error() string {
 }
 
 // RunTimeoutError reports a run that exceeded its per-run wall-time
-// budget (Config.MaxWallTime / CampaignOptions.RunTimeout) and was
-// aborted at a step boundary. It is deliberately distinct from
+// budget (Config.MaxWallTime; hotgauged sets it from -run-timeout) and
+// was aborted at a step boundary. It is deliberately distinct from
 // context.DeadlineExceeded: a run deadline is a per-run failure, not a
 // campaign- or job-level cancellation, so the serving layer attributes
 // it to the run instead of marking the run skipped.

@@ -10,31 +10,24 @@ import (
 	"hotgauge/internal/thermal"
 )
 
-// Retry policy defaults.
+// Retry backoff constants.
 const (
-	defaultRetryBaseDelay = 50 * time.Millisecond
-	defaultRetryMaxDelay  = 2 * time.Second
-	defaultRetrySeed      = 1
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+	retrySeed      = 1
 )
 
 // RetryPolicy bounds how RunWithRetry re-attempts a run that failed with
-// a Retryable error. Backoff between attempts is exponential
-// (BaseDelay · 2^(attempt−1), capped at MaxDelay) with multiplicative
-// jitter in [0.5, 1.5) drawn from a deterministic Seed, so retry storms
-// decorrelate across a campaign's workers while tests stay reproducible.
-// The zero value never retries.
+// a Retryable error. Backoff between attempts is exponential (50 ms ·
+// 2^(attempt−1), capped at 2 s) with multiplicative jitter in [0.5, 1.5)
+// drawn from a fixed-seed stream. Every run seeds that stream afresh, so
+// the jitter spreads one run's successive retries, not concurrent runs:
+// equal failure sequences back off by equal delays, which keeps retry
+// timing reproducible. The zero value never retries.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts including the first
 	// (≤ 1 means no retry).
 	MaxAttempts int
-	// BaseDelay is the pre-jitter backoff before the first retry
-	// (default 50 ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the pre-jitter backoff (default 2 s).
-	MaxDelay time.Duration
-	// Seed seeds the jitter stream (0 uses a fixed default, so equal
-	// policies back off identically).
-	Seed int64
 	// Sleep overrides the context-aware backoff sleep (tests inject a
 	// fake clock here). Nil uses a timer honoring ctx cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -42,22 +35,12 @@ type RetryPolicy struct {
 
 // backoff returns the jittered delay before retry number `retry`
 // (1-based).
-func (p RetryPolicy) backoff(retry int, rng *rand.Rand) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = defaultRetryBaseDelay
-	}
-	maxD := p.MaxDelay
-	if maxD <= 0 {
-		maxD = defaultRetryMaxDelay
-	}
-	d := base
-	for i := 1; i < retry && d < maxD; i++ {
+func backoff(retry int, rng *rand.Rand) time.Duration {
+	d := retryBaseDelay
+	for i := 1; i < retry && d < retryMaxDelay; i++ {
 		d *= 2
 	}
-	if d > maxD {
-		d = maxD
-	}
+	d = min(d, retryMaxDelay)
 	return time.Duration(float64(d) * (0.5 + rng.Float64()))
 }
 
@@ -91,11 +74,7 @@ func RunWithRetry(ctx context.Context, cfg Config, p RetryPolicy) (*Result, erro
 	}
 	orig := cfg
 	retries := cfg.Obs.Counter(MetricRetries)
-	seed := p.Seed
-	if seed == 0 {
-		seed = defaultRetrySeed
-	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(retrySeed))
 	sleepFn := p.Sleep
 	if sleepFn == nil {
 		sleepFn = sleep
@@ -121,7 +100,7 @@ func RunWithRetry(ctx context.Context, cfg Config, p RetryPolicy) (*Result, erro
 			cfg.Solver = &thermal.ADI{}
 		}
 		retries.Inc()
-		if serr := sleepFn(ctx, p.backoff(attempt, rng)); serr != nil {
+		if serr := sleepFn(ctx, backoff(attempt, rng)); serr != nil {
 			return nil, fmt.Errorf("sim: cancelled during retry backoff: %w (last attempt: %v)", serr, lastErr)
 		}
 	}

@@ -73,16 +73,11 @@ type Result struct {
 
 	// Predicted marks a predicted-only result: surrogate triage decided
 	// the run's outcome without executing the pipeline, so StepsRun is 0,
-	// every series is empty, and Prediction carries the estimate. Exact
-	// results of triaged campaigns also carry Prediction (for
-	// comparison) but leave Predicted false.
+	// every series is empty, and Prediction carries the estimate.
 	Predicted bool
-	// Prediction is the surrogate's estimate, present whenever the run
-	// was scored by triage (predicted-only or exact-verified).
+	// Prediction is the surrogate's estimate, set only on predicted-only
+	// results (Triager.PredictedResult); an exact run never carries one.
 	Prediction *Prediction
-	// Audited marks an exact run selected by the audit fraction; its
-	// |predicted − exact| severity error feeds surrogate/audit_error.
-	Audited bool
 }
 
 // SevRMS returns the RMS of the recorded severity series (§V-B).

@@ -9,10 +9,10 @@ import (
 	"hotgauge/internal/obs"
 )
 
-// Default triage policy knobs. The severity threshold is the paper's
+// Triage policy constants. The severity threshold is the paper's
 // mitigation point — sev ≥ 0.5 means "mitigation required now" — and the
-// guard band / audit fraction defaults match Config.TriageBand and
-// Config.AuditFrac.
+// guard band / audit fraction defaults are what Config.TriageBand and
+// Config.AuditFrac resolve to when zero.
 const (
 	// DefaultSeverityThreshold is the severity at which a run counts as a
 	// hotspot for triage purposes (sev = 0.5, the immediate-mitigation
@@ -45,24 +45,11 @@ type Prediction struct {
 }
 
 // Predictor scores a config without running the pipeline. Implementations
-// must be safe for concurrent use (campaigns score from worker
-// goroutines) and deterministic: the same config must always yield the
+// must be safe for concurrent use (one Triager may serve concurrent
+// jobs) and deterministic: the same config must always yield the
 // same prediction. internal/surrogate provides the stock implementation.
 type Predictor interface {
 	Predict(cfg Config) (Prediction, error)
-}
-
-// TriageOptions configures predict-first campaign triage (see
-// CampaignOptions.Triage).
-type TriageOptions struct {
-	// Predictor scores configs; nil disables triage entirely.
-	Predictor Predictor
-	// Threshold is the severity classifying a run as a hotspot
-	// (0 = DefaultSeverityThreshold).
-	Threshold float64
-	// MinConfidence is the confidence below which a prediction is
-	// distrusted and the run executes exactly (0 = DefaultMinConfidence).
-	MinConfidence float64
 }
 
 // TriageDecision is the outcome of scoring one config.
@@ -86,8 +73,13 @@ type TriageDecision struct {
 // surrogate/* metrics, and accumulates the predicted-vs-exact audit
 // error. Safe for concurrent use; one Triager may span many campaigns
 // (the daemon holds one for its lifetime).
+//
+// Callers drive one sequence per surrogate-flagged config: Score it;
+// if the decision is not ExactRun, PredictedResult stands in for the
+// run; otherwise execute it and, for an audit pick, pass the exact peak
+// severity to ObserveAudit.
 type Triager struct {
-	opts TriageOptions
+	predictor Predictor
 
 	predictions, predictErrors *obs.Counter
 	exactRuns, skippedRuns     *obs.Counter
@@ -99,16 +91,11 @@ type Triager struct {
 	auditN   int
 }
 
-// NewTriager builds a Triager recording into reg (nil disables metrics).
-func NewTriager(opts TriageOptions, reg *obs.Registry) *Triager {
-	if opts.Threshold <= 0 {
-		opts.Threshold = DefaultSeverityThreshold
-	}
-	if opts.MinConfidence <= 0 {
-		opts.MinConfidence = DefaultMinConfidence
-	}
+// NewTriager builds a Triager scoring with p and recording into reg (nil
+// disables metrics).
+func NewTriager(p Predictor, reg *obs.Registry) *Triager {
 	return &Triager{
-		opts:          opts,
+		predictor:     p,
 		predictions:   reg.Counter(MetricSurrogatePredictions),
 		predictErrors: reg.Counter(MetricSurrogatePredictErrors),
 		exactRuns:     reg.Counter(MetricSurrogateExactRuns),
@@ -118,41 +105,27 @@ func NewTriager(opts TriageOptions, reg *obs.Registry) *Triager {
 	}
 }
 
-// Threshold returns the resolved hotspot-severity threshold.
-func (t *Triager) Threshold() float64 { return t.opts.Threshold }
-
 // Score applies the triage policy to one config. The policy is one-sided
 // and conservative: a run executes exactly when its predicted severity
-// reaches threshold − band (every predicted hotspot, plus the guard band
-// below it), when the prediction's confidence is below MinConfidence,
-// when prediction fails outright, or when the config's deterministic
-// audit draw selects it. Only runs the model confidently places clearly
-// below the threshold are skipped.
+// reaches DefaultSeverityThreshold − band (every predicted hotspot, plus
+// the guard band below it), when the prediction's confidence is below
+// DefaultMinConfidence, when prediction fails outright, or when the
+// config's deterministic audit draw selects it. Only runs the model
+// confidently places clearly below the threshold are skipped.
 func (t *Triager) Score(cfg Config) TriageDecision {
-	p, err := t.opts.Predictor.Predict(cfg)
+	p, err := t.predictor.Predict(cfg)
 	if err != nil {
 		t.predictErrors.Inc()
 		t.exactRuns.Inc()
 		return TriageDecision{ExactRun: true, Reason: "predict_error"}
 	}
 	t.predictions.Inc()
-	band := cfg.TriageBand
-	if band == 0 {
-		band = DefaultTriageBand
-	} else if band < 0 {
-		band = 0
-	}
-	frac := cfg.AuditFrac
-	if frac == 0 {
-		frac = DefaultAuditFraction
-	} else if frac < 0 {
-		frac = 0
-	}
+	band, frac := resolveTriageKnobs(cfg.TriageBand, cfg.AuditFrac)
 	d := TriageDecision{Prediction: &p}
 	switch {
-	case p.Confidence < t.opts.MinConfidence:
+	case p.Confidence < DefaultMinConfidence:
 		d.ExactRun, d.Reason = true, "low_confidence"
-	case p.Severity >= t.opts.Threshold-band:
+	case p.Severity >= DefaultSeverityThreshold-band:
 		d.ExactRun, d.Reason = true, "frontier"
 	case auditSelect(cfg, frac):
 		d.ExactRun, d.Audit, d.Reason = true, true, "audit"
@@ -180,26 +153,6 @@ func (t *Triager) PredictedResult(cfg Config, d TriageDecision) *Result {
 		res.TUH = d.Prediction.TUHSeconds
 	}
 	return res
-}
-
-// ObserveExact attaches the decision's prediction to an exact result
-// and, for audit-selected runs with a recorded severity series, scores
-// the prediction against the exact peak severity (see ObserveAudit). It
-// returns the absolute severity error and whether it was scored.
-func (t *Triager) ObserveExact(d TriageDecision, res *Result) (absErr float64, scored bool) {
-	if res == nil || d.Prediction == nil {
-		return 0, false
-	}
-	res.Prediction = d.Prediction
-	res.Audited = d.Audit
-	if len(res.Severity) == 0 {
-		return 0, false
-	}
-	exact := 0.0
-	for _, s := range res.Severity {
-		exact = math.Max(exact, s)
-	}
-	return t.ObserveAudit(d, exact)
 }
 
 // ObserveAudit scores an audit-selected decision's prediction against
@@ -230,6 +183,26 @@ func (t *Triager) AuditMAE() (mae float64, n int) {
 		return 0, 0
 	}
 	return t.auditSum / float64(t.auditN), t.auditN
+}
+
+// resolveTriageKnobs maps Config.TriageBand and Config.AuditFrac to the
+// values the policy applies: zero selects the default, a negative value
+// disables the band or the audit draw, and the audit fraction is capped
+// at 1. A disabled band resolves to 0, which would read as the default
+// if resolved again, so Score takes the config as submitted, never a
+// normalized copy.
+func resolveTriageKnobs(band, frac float64) (float64, float64) {
+	if band == 0 {
+		band = DefaultTriageBand
+	} else if band < 0 {
+		band = 0
+	}
+	if frac == 0 {
+		frac = DefaultAuditFraction
+	} else if frac < 0 {
+		frac = 0
+	}
+	return band, min(frac, 1)
 }
 
 // auditSelect makes the deterministic audit draw for a config: the

@@ -33,7 +33,7 @@ func TestTriageScoreReasons(t *testing.T) {
 		43: {Severity: 0.1, TUHSeconds: -1, Confidence: 0.2},     // low confidence
 		44: {Severity: 0.1, TUHSeconds: -1, Confidence: 0.95},    // clear skip
 	}}
-	tr := NewTriager(TriageOptions{Predictor: pred}, nil)
+	tr := NewTriager(pred, nil)
 
 	cases := []struct {
 		ambient   float64
@@ -60,10 +60,29 @@ func TestTriageScoreReasons(t *testing.T) {
 			t.Errorf("ambient %.0f: decision lost its prediction", c.ambient)
 		}
 	}
+
+	// Score and Config.normalize resolve the knobs through one helper: a
+	// disabled band and an over-range audit fraction decide a config the
+	// same way as its normalized copy (fraction capped at 1: an audit).
+	raw := fastConfig(t, "gcc", 5)
+	raw.Ambient = 44
+	raw.Surrogate = true
+	raw.TriageBand, raw.AuditFrac = -1, 2
+	norm := raw
+	if err := norm.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if norm.AuditFrac != 1 {
+		t.Fatalf("normalized AuditFrac = %v, want 1", norm.AuditFrac)
+	}
+	dRaw, dNorm := tr.Score(raw), tr.Score(norm)
+	if dRaw.ExactRun != dNorm.ExactRun || dRaw.Audit != dNorm.Audit || dRaw.Reason != dNorm.Reason || dRaw.Reason != "audit" {
+		t.Fatalf("band -1, frac 2: raw decision %+v, normalized %+v, want both \"audit\"", dRaw, dNorm)
+	}
 }
 
 func TestTriageScorePredictError(t *testing.T) {
-	tr := NewTriager(TriageOptions{Predictor: &fakePredictor{err: errors.New("boom")}}, nil)
+	tr := NewTriager(&fakePredictor{err: errors.New("boom")}, nil)
 	cfg := fastConfig(t, "gcc", 5)
 	cfg.Surrogate = true
 	d := tr.Score(cfg)
@@ -105,7 +124,7 @@ func TestAuditSelectDeterministic(t *testing.T) {
 }
 
 func TestPredictedResultShape(t *testing.T) {
-	tr := NewTriager(TriageOptions{Predictor: &fakePredictor{}}, nil)
+	tr := NewTriager(&fakePredictor{}, nil)
 	cfg := fastConfig(t, "gcc", 5)
 
 	p := Prediction{Severity: 0.2, TUHSeconds: -1, Confidence: 0.9}
@@ -124,89 +143,33 @@ func TestPredictedResultShape(t *testing.T) {
 	}
 }
 
-func TestObserveExactAuditError(t *testing.T) {
+func TestObserveAuditError(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := NewTriager(TriageOptions{Predictor: &fakePredictor{}}, reg)
+	tr := NewTriager(&fakePredictor{}, reg)
 
 	p := Prediction{Severity: 0.3, TUHSeconds: -1, Confidence: 0.9}
-	res := &Result{Severity: []float64{0.1, 0.45, 0.2}}
-	absErr, scored := tr.ObserveExact(TriageDecision{Prediction: &p, Audit: true, ExactRun: true}, res)
+	absErr, scored := tr.ObserveAudit(TriageDecision{Prediction: &p, Audit: true, ExactRun: true}, 0.45)
 	if !scored || math.Abs(absErr-0.15) > 1e-12 {
 		t.Fatalf("audit error = %v (scored=%v), want 0.15", absErr, scored)
-	}
-	if res.Prediction == nil || !res.Audited {
-		t.Fatal("exact result not annotated with its prediction")
 	}
 	mae, n := tr.AuditMAE()
 	if n != 1 || math.Abs(mae-0.15) > 1e-12 {
 		t.Fatalf("AuditMAE = (%v, %d)", mae, n)
 	}
+	if got := reg.Snapshot().Gauges[MetricSurrogateAuditError]; math.Abs(got-0.15) > 1e-12 {
+		t.Fatalf("%s = %v, want 0.15", MetricSurrogateAuditError, got)
+	}
 
-	// Non-audit observations annotate but do not score.
-	res2 := &Result{Severity: []float64{0.9}}
-	if _, scored := tr.ObserveExact(TriageDecision{Prediction: &p, ExactRun: true}, res2); scored {
+	// Non-audit decisions, and decisions without a prediction, are not
+	// scored and leave the MAE untouched.
+	if _, scored := tr.ObserveAudit(TriageDecision{Prediction: &p, ExactRun: true}, 0.9); scored {
 		t.Fatal("non-audit run was scored")
 	}
-	if res2.Prediction == nil || res2.Audited {
-		t.Fatalf("non-audit annotation wrong: %+v", res2)
+	if _, scored := tr.ObserveAudit(TriageDecision{Audit: true, ExactRun: true}, 0.9); scored {
+		t.Fatal("audit decision without a prediction was scored")
 	}
-}
-
-func TestCampaignTriageSkipsAndCounts(t *testing.T) {
-	pred := &fakePredictor{byAmbient: map[float64]Prediction{
-		41: {Severity: 0.05, TUHSeconds: -1, Confidence: 0.95},    // skip
-		42: {Severity: 0.05, TUHSeconds: -1, Confidence: 0.95},    // skip
-		43: {Severity: 0.95, TUHSeconds: 0.001, Confidence: 0.95}, // frontier → exact
-	}}
-	var cfgs []Config
-	for _, amb := range []float64{41, 42, 43} {
-		cfg := fastConfig(t, "gcc", 4)
-		cfg.Ambient = amb
-		cfg.Surrogate = true
-		cfg.AuditFrac = -1 // disable audits for a deterministic split
-		cfgs = append(cfgs, cfg)
-	}
-	// A non-surrogate config must always execute exactly.
-	plain := fastConfig(t, "gcc", 4)
-	plain.Ambient = 41
-	cfgs = append(cfgs, plain)
-
-	reg := obs.NewRegistry()
-	var last Progress
-	results, err := CampaignOpts(cfgs, CampaignOptions{
-		Workers:    2,
-		Obs:        reg,
-		Triage:     &TriageOptions{Predictor: pred},
-		OnProgress: func(p Progress) { last = p },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []bool{true, true, false, false} {
-		if results[i] == nil || results[i].Predicted != want {
-			t.Errorf("run %d: Predicted = %v, want %v", i, results[i] != nil && results[i].Predicted, want)
-		}
-	}
-	if results[2].StepsRun != 4 || results[3].StepsRun != 4 {
-		t.Fatalf("exact runs did not execute: %d, %d steps", results[2].StepsRun, results[3].StepsRun)
-	}
-	if results[2].Prediction == nil {
-		t.Error("exact surrogate run lost its prediction annotation")
-	}
-	if results[3].Prediction != nil {
-		t.Error("non-surrogate run gained a prediction")
-	}
-	if last.Completed != 4 || last.Predicted != 2 || last.Failed != 0 {
-		t.Fatalf("final progress = %+v", last)
-	}
-	if got := reg.Snapshot().Counters[MetricSurrogateSkippedRuns]; got != 2 {
-		t.Errorf("surrogate/skipped_runs = %d, want 2", got)
-	}
-	if got := reg.Snapshot().Counters[MetricSurrogateExactRuns]; got != 1 {
-		t.Errorf("surrogate/exact_runs = %d, want 1 (plain config is not triaged)", got)
-	}
-	if got := reg.Snapshot().Counters["campaign/predicted"]; got != 2 {
-		t.Errorf("campaign/predicted = %d, want 2", got)
+	if mae, n := tr.AuditMAE(); n != 1 || math.Abs(mae-0.15) > 1e-12 {
+		t.Fatalf("unscored observations moved AuditMAE to (%v, %d)", mae, n)
 	}
 }
 

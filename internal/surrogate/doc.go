@@ -12,5 +12,6 @@
 // daemon already accumulates (see serve.FitSurrogate), training is
 // order-independent and bit-deterministic for a given seed and key set,
 // and models serialize to versioned JSON that refuses to load across a
-// feature-schema change. Campaigns use it through sim.TriageOptions.
+// feature-schema change. A *Model is the sim.Predictor behind
+// sim.NewTriager in hotgauged and hotgauge -surrogate.
 package surrogate
