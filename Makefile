@@ -3,7 +3,7 @@ GO ?= go
 # Benchmark settings: BENCH_COUNT feeds -count (benchstat wants >= 10
 # samples); BENCH_PATTERN selects the hot kernels plus one end-to-end run.
 BENCH_COUNT ?= 10
-BENCH_PATTERN ?= BenchmarkKernelThermalStep|BenchmarkKernelADIStep|BenchmarkKernelMLTDField|BenchmarkKernelAnalyzePass|BenchmarkKernelPercentiles|BenchmarkSec4ATempScaling|BenchmarkStackedRun
+BENCH_PATTERN ?= BenchmarkKernelThermalStep|BenchmarkKernelADIStep|BenchmarkKernelMLTDField|BenchmarkKernelAnalyzePass|BenchmarkKernelPercentiles|BenchmarkKernelSteadySolve|BenchmarkSec4ATempScaling|BenchmarkStackedRun
 
 .PHONY: all build test vet fmt-check check faultcheck stackcheck crashcheck clustercheck chaoscheck fuzzsmoke triagecheck bench bench-check bench-all serve-smoke
 

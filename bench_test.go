@@ -394,6 +394,62 @@ func BenchmarkKernelADIStep(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSteadySolve times the steady solve every idle-warmup
+// run starts with: WarmStart + SolveSteady at the warmup tolerance
+// (1e-4) on the 14 nm single-die grid and a 12-layer stacked grid, under
+// the idle power map on every active plane. It reports the SOR sweep
+// count, which a kernel change must not move.
+func BenchmarkKernelSteadySolve(b *testing.B) {
+	stacks := []struct {
+		name  string
+		stack []thermal.Layer
+	}{
+		{"single-die", thermal.DefaultStack()},
+		{sim.StackCoreOnMemory, thermal.CoreOnMemoryStack()},
+	}
+	fp := floorplan.MustNew(floorplan.Config{Node: tech.Node14})
+	pm, err := power.NewModel(fp, tech.TurboPoint)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idle := perf.IdleActivity(perf.DefaultConfig()).Unit
+	var in power.Input
+	for c := range in.CoreActivity {
+		in.CoreActivity[c] = idle
+		in.CoreFloor[c] = power.IdleGateFloor
+	}
+	pr := pm.Compute(in)
+	for _, st := range stacks {
+		b.Run(st.name, func(b *testing.B) {
+			grid, err := thermal.NewGrid(fp.Die, thermal.DefaultResolution, st.stack, thermal.SinkConductance, thermal.DefaultAmbient)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames := make([]*geometry.Field, grid.ActiveLayers())
+			for i := range frames {
+				frames[i] = geometry.NewField(grid.NX, grid.NY, thermal.DefaultResolution)
+				for _, u := range fp.Units {
+					frames[i].Rasterize(u.Rect, pr.Total(u.Name))
+				}
+			}
+			pw := thermal.NewPower(frames...)
+			state := grid.NewState(thermal.DefaultAmbient)
+			sweeps := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := thermal.WarmStart(grid, state, pw); err != nil {
+					b.Fatal(err)
+				}
+				if sweeps, err = thermal.SolveSteady(grid, state, pw, 1e-4, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sweeps), "sweeps/op")
+		})
+	}
+}
+
 func BenchmarkKernelMLTDField(b *testing.B) {
 	f := geometry.NewField(46, 31, 0.1)
 	for i := range f.Data {

@@ -11,8 +11,11 @@
 // accuracy reference), and an adaptive alternating-direction-implicit
 // (ADI) solver that is unconditionally stable (the campaign fast path and
 // the divergence fallback; the solver name "implicit" is an alias for
-// it). A steady-state SOR solver serves Ψ/TDP computation (Table IV) and
-// idle-warmup initialization.
+// it). A steady-state SOR solver serves Ψ/TDP computation (Table IV),
+// idle-warmup initialization and the FastSteady jumps. Its sweeps run as
+// a four-row wavefront that is bit-identical to the lexicographic loop
+// kept in solver_ref.go as the oracle; WarmStart and SolveSteady
+// allocate nothing per call.
 //
 // Both transient solvers optionally report their work into internal/obs
 // counters (Substeps, StabilityHits): the explicit solver counts its

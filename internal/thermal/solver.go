@@ -147,38 +147,53 @@ func WarmStart(g *Grid, s *State, power *Power) error {
 	if err := g.checkPower(power); err != nil {
 		return err
 	}
-	totals := make([]float64, len(power.Frames))
 	total := 0.0
-	for i, f := range power.Frames {
-		totals[i] = f.Sum()
-		total += totals[i]
+	for _, f := range power.Frames {
+		total += f.Sum()
 	}
-	plane := float64(g.NX * g.NY)
-	layerT := make([]float64, g.NL)
-	layerT[g.NL-1] = g.Ambient + total/(g.gConv*plane)
+	// Fill the layers top-down with a running layer temperature, so the
+	// warm start allocates nothing.
+	plane := g.NX * g.NY
+	layerT := g.Ambient + total/(g.gConv*float64(plane))
 	flow := total
 	ai := len(g.active) - 1
-	for l := g.NL - 2; l >= 0; l-- {
-		// Power injected above this interface never crosses it.
-		if ai >= 0 && g.active[ai] == l+1 {
-			flow -= totals[ai]
-			ai--
+	for l := g.NL - 1; l >= 0; l-- {
+		if l < g.NL-1 {
+			// Power injected above this interface never crosses it.
+			if ai >= 0 && g.active[ai] == l+1 {
+				flow -= power.Frames[ai].Sum()
+				ai--
+			}
+			layerT += flow / (g.gUp[l] * float64(plane))
 		}
-		layerT[l] = layerT[l+1] + flow/(g.gUp[l]*plane)
-	}
-	for l := 0; l < g.NL; l++ {
-		base := l * g.NX * g.NY
-		for i := 0; i < g.NX*g.NY; i++ {
-			s.T[base+i] = layerT[l]
+		layer := s.T[l*plane : (l+1)*plane]
+		for i := range layer {
+			layer[i] = layerT
 		}
 	}
 	return nil
 }
 
+// sorOmega is the over-relaxation factor of SolveSteady's SOR sweeps.
+const sorOmega = 1.85
+
 // SolveSteady relaxes the state to the steady-state solution for the given
 // power input using SOR, and returns the iteration count. The state is used
 // as the starting guess; use WarmStart first when no better guess exists.
 // It works in place on the state and allocates nothing per call.
+//
+// Each sweep is a lexicographic Gauss–Seidel/SOR pass (layers bottom-up,
+// rows, columns), run as a row wavefront: within a layer, interior rows
+// are relaxed in blocks of four along a skewed diagonal, row r+k taking
+// column x−k in the same step. A cell's left and upper neighbours are
+// then already updated in this sweep and its right and lower ones are
+// not, exactly as in lexicographic order, and every cell computes the
+// same sums in the same order. The stop test takes the largest |Δ| of
+// the sweep, which does not depend on the visiting order. So every
+// value, the sweep count and the stop are bit-identical to the plain
+// loop (solveSteadyRef). What changes is the dependency structure: the
+// plain loop is one chain that stalls on each cell's divide, the
+// wavefront four independent chains the CPU overlaps.
 func SolveSteady(g *Grid, s *State, power *Power, tol float64, maxIters int) (int, error) {
 	if err := g.checkPower(power); err != nil {
 		return 0, err
@@ -189,7 +204,6 @@ func SolveSteady(g *Grid, s *State, power *Power, tol float64, maxIters int) (in
 	if maxIters <= 0 {
 		maxIters = 20000
 	}
-	const omega = 1.85
 	nx, ny, nl := g.NX, g.NY, g.NL
 	plane := nx * ny
 	t := s.T
@@ -199,69 +213,207 @@ func SolveSteady(g *Grid, s *State, power *Power, tol float64, maxIters int) (in
 		// layer with its power frame without allocating.
 		ai := 0
 		for l := 0; l < nl; l++ {
-			gl := g.gLat[l]
-			base := l * plane
-			top := l == nl-1
-			var gUp, gDown float64
+			c := sorLayer{nx: nx, ny: ny, plane: plane, base: l * plane,
+				gl: g.gLat[l], gConv: g.gConv, ambient: g.Ambient, top: l == nl-1}
 			if l < nl-1 {
-				gUp = g.gUp[l]
+				c.gUp = g.gUp[l]
 			}
 			if l > 0 {
-				gDown = g.gUp[l-1]
+				c.gDown = g.gUp[l-1]
 			}
-			var pw []float64
 			if ai < len(g.active) && g.active[ai] == l {
-				pw = power.Frames[ai].Data
+				c.pw = power.Frames[ai].Data
 				ai++
 			}
-			for iy := 0; iy < ny; iy++ {
-				row := base + iy*nx
-				for ix := 0; ix < nx; ix++ {
-					i := row + ix
-					num, den := 0.0, 0.0
-					if ix > 0 {
-						num += gl * t[i-1]
-						den += gl
-					}
-					if ix < nx-1 {
-						num += gl * t[i+1]
-						den += gl
-					}
-					if iy > 0 {
-						num += gl * t[i-nx]
-						den += gl
-					}
-					if iy < ny-1 {
-						num += gl * t[i+nx]
-						den += gl
-					}
-					if gDown != 0 {
-						num += gDown * t[i-plane]
-						den += gDown
-					}
-					if gUp != 0 {
-						num += gUp * t[i+plane]
-						den += gUp
-					}
-					if top {
-						num += g.gConv * g.Ambient
-						den += g.gConv
-					}
-					if pw != nil {
-						num += pw[i-base]
-					}
-					gs := num / den
-					nv := t[i] + omega*(gs-t[i])
-					if d := math.Abs(nv - t[i]); d > maxDelta {
-						maxDelta = d
-					}
-					t[i] = nv
-				}
-			}
+			maxDelta = c.sweep(t, maxDelta)
 		}
 		if maxDelta < tol {
 			return it, nil
 		}
 	}
 	return maxIters, fmt.Errorf("thermal: steady solve did not converge in %d iterations", maxIters)
+}
+
+// sorLayer is one grid layer's share of an SOR sweep: its geometry and
+// conductances, and its power plane (nil for passive layers).
+type sorLayer struct {
+	nx, ny, plane, base int
+	gl, gDown, gUp      float64
+	gConv, ambient      float64
+	top                 bool
+	pw                  []float64
+}
+
+// sweep relaxes every cell of the layer once and returns maxDelta raised
+// to the layer's largest update. Row 0 goes first, then blocks of four
+// rows, the last block short when ny−1 is not a multiple of four; every
+// block follows the wavefront schedule of wave. Full blocks of interior
+// rows on grids at least five columns wide relax their interior columns
+// through interior; every other cell (edge rows and columns, the short
+// last block, narrow grids) takes relax at the same place in the
+// schedule.
+func (c *sorLayer) sweep(t []float64, maxDelta float64) float64 {
+	nx, ny := c.nx, c.ny
+	// The interior-cell denominator, summed in relax's order: four
+	// separate adds, since 4·gl can round differently.
+	den := 0.0
+	den += c.gl
+	den += c.gl
+	den += c.gl
+	den += c.gl
+	if c.gDown != 0 {
+		den += c.gDown
+	}
+	if c.gUp != 0 {
+		den += c.gUp
+	}
+	if c.top {
+		den += c.gConv
+	}
+	maxDelta = c.wave(t, 0, 1, 0, nx, maxDelta)
+	for r := 1; r < ny; r += 4 {
+		if r+4 < ny && nx >= 5 {
+			maxDelta = c.wave(t, r, 4, 0, 4, maxDelta)
+			maxDelta = c.interior(t, r, den, maxDelta)
+			maxDelta = c.wave(t, r, 4, nx-1, nx+3, maxDelta)
+		} else {
+			rows := min(4, ny-r)
+			maxDelta = c.wave(t, r, rows, 0, nx+rows-1, maxDelta)
+		}
+	}
+	return maxDelta
+}
+
+// wave runs steps x0…x1−1 of the wavefront over rows r…r+rows−1: step x
+// relaxes cell (x−k, r+k) for every k with 0 ≤ x−k < nx. The cells of
+// one step are diagonal to each other, so they are independent, and each
+// one sees its left and upper neighbours already relaxed in this sweep
+// and its right and lower neighbours not yet — the lexicographic order's
+// view. A one-row wave is a plain left-to-right pass.
+func (c *sorLayer) wave(t []float64, r, rows, x0, x1 int, maxDelta float64) float64 {
+	for x := x0; x < x1; x++ {
+		for k := 0; k < rows; k++ {
+			if ix := x - k; ix >= 0 && ix < c.nx {
+				maxDelta = c.relax(t, ix, r+k, maxDelta)
+			}
+		}
+	}
+	return maxDelta
+}
+
+// interior runs steps 4…nx−2 of the wavefront over interior rows r…r+3
+// (1 ≤ r, r+3 ≤ ny−2, nx ≥ 5), where all four cells of a step are
+// interior: relax's update without the edge checks, with den hoisted,
+// written out for the four chains so that their dependency chains
+// overlap. Chain k's last value stays in a register: it is its next
+// cell's left neighbour and, one step later, chain k+1's upper one.
+func (c *sorLayer) interior(t []float64, r int, den, maxDelta float64) float64 {
+	nx := c.nx
+	s := nx - 1 // index step from (x−k, r+k) to (x−k−1, r+k+1)
+	j0 := c.base + r*nx + 4
+	end := j0 + nx - 5
+	l0, l1, l2, l3 := t[j0-1], t[j0+s-1], t[j0+2*s-1], t[j0+3*s-1]
+	for ; j0 < end; j0++ {
+		j1, j2, j3 := j0+s, j0+2*s, j0+3*s
+		n0 := c.vertical(t, j0, c.lateral(t, j0, l0, t[j0-nx]))
+		n1 := c.vertical(t, j1, c.lateral(t, j1, l1, l0))
+		n2 := c.vertical(t, j2, c.lateral(t, j2, l2, l1))
+		n3 := c.vertical(t, j3, c.lateral(t, j3, l3, l2))
+		n0 = t[j0] + sorOmega*(n0/den-t[j0])
+		n1 = t[j1] + sorOmega*(n1/den-t[j1])
+		n2 = t[j2] + sorOmega*(n2/den-t[j2])
+		n3 = t[j3] + sorOmega*(n3/den-t[j3])
+		maxDelta = raise(maxDelta, n0, t[j0])
+		maxDelta = raise(maxDelta, n1, t[j1])
+		maxDelta = raise(maxDelta, n2, t[j2])
+		maxDelta = raise(maxDelta, n3, t[j3])
+		t[j0], t[j1], t[j2], t[j3] = n0, n1, n2, n3
+		l0, l1, l2, l3 = n0, n1, n2, n3
+	}
+	return maxDelta
+}
+
+// lateral starts relax's numerator for interior cell j, given the current
+// values of its left and upper neighbours. It and vertical are split so
+// that each stays under the inliner's budget.
+func (c *sorLayer) lateral(t []float64, j int, left, up float64) float64 {
+	num := 0.0
+	num += c.gl * left
+	num += c.gl * t[j+1]
+	num += c.gl * up
+	num += c.gl * t[j+c.nx]
+	return num
+}
+
+// vertical adds the rest of relax's numerator for cell j to num: the
+// layers below and above, the convective boundary and the power.
+func (c *sorLayer) vertical(t []float64, j int, num float64) float64 {
+	if c.gDown != 0 {
+		num += c.gDown * t[j-c.plane]
+	}
+	if c.gUp != 0 {
+		num += c.gUp * t[j+c.plane]
+	}
+	if c.top {
+		num += c.gConv * c.ambient
+	}
+	if c.pw != nil {
+		num += c.pw[j-c.base]
+	}
+	return num
+}
+
+// raise returns maxDelta raised to |nv − old|. Like relax's test, it
+// skips a NaN difference.
+func raise(maxDelta, nv, old float64) float64 {
+	if d := math.Abs(nv - old); d > maxDelta {
+		return d
+	}
+	return maxDelta
+}
+
+// relax applies the general SOR update to cell (ix, iy): the reference
+// formula, with every edge check.
+func (c *sorLayer) relax(t []float64, ix, iy int, maxDelta float64) float64 {
+	nx := c.nx
+	i := c.base + iy*nx + ix
+	num, den := 0.0, 0.0
+	if ix > 0 {
+		num += c.gl * t[i-1]
+		den += c.gl
+	}
+	if ix < nx-1 {
+		num += c.gl * t[i+1]
+		den += c.gl
+	}
+	if iy > 0 {
+		num += c.gl * t[i-nx]
+		den += c.gl
+	}
+	if iy < c.ny-1 {
+		num += c.gl * t[i+nx]
+		den += c.gl
+	}
+	if c.gDown != 0 {
+		num += c.gDown * t[i-c.plane]
+		den += c.gDown
+	}
+	if c.gUp != 0 {
+		num += c.gUp * t[i+c.plane]
+		den += c.gUp
+	}
+	if c.top {
+		num += c.gConv * c.ambient
+		den += c.gConv
+	}
+	if c.pw != nil {
+		num += c.pw[i-c.base]
+	}
+	gs := num / den
+	nv := t[i] + sorOmega*(gs-t[i])
+	if d := math.Abs(nv - t[i]); d > maxDelta {
+		maxDelta = d
+	}
+	t[i] = nv
+	return maxDelta
 }

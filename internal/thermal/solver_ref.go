@@ -1,10 +1,16 @@
 package thermal
 
+import (
+	"fmt"
+	"math"
+)
+
 // Reference kernels. These are the original, branchy, textbook
-// formulations of the explicit substep and the Douglas–Gunn ADI substep.
-// The optimized kernels in solver_fast.go and solver_adi.go are
-// validated against them cell-for-cell (see solver_equiv_test.go); keep these in sync with
-// the physics, never with the optimizations.
+// formulations of the explicit substep, the Douglas–Gunn ADI substep and
+// the steady-state SOR sweep. The optimized kernels in solver_fast.go,
+// solver_adi.go and solver.go are validated against them cell-for-cell
+// (see solver_equiv_test.go); keep these in sync with the physics, never
+// with the optimizations.
 
 // stepOnceRef performs one explicit substep from cur into next,
 // evaluating the boundary conditions with per-cell branches. power holds
@@ -179,4 +185,96 @@ func thomasRef(a, b, c, d []float64) []float64 {
 		x[i] = dp[i] - cp[i]*x[i+1]
 	}
 	return x
+}
+
+// solveSteadyRef is the lexicographic point SOR that SolveSteady's
+// wavefront schedule reproduces bit for bit: every layer bottom-up, every
+// row, every column in order, each cell through one branchy update. The
+// wavefront kernel in solver.go is validated against it cell-for-cell,
+// sweep count and error included (see solver_equiv_test.go).
+func solveSteadyRef(g *Grid, s *State, power *Power, tol float64, maxIters int) (int, error) {
+	if err := g.checkPower(power); err != nil {
+		return 0, err
+	}
+	if tol <= 0 {
+		tol = 1e-5
+	}
+	if maxIters <= 0 {
+		maxIters = 20000
+	}
+	const omega = 1.85
+	nx, ny, nl := g.NX, g.NY, g.NL
+	plane := nx * ny
+	t := s.T
+	for it := 1; it <= maxIters; it++ {
+		maxDelta := 0.0
+		// Active planes are ascending, so a single cursor pairs each
+		// layer with its power frame without allocating.
+		ai := 0
+		for l := 0; l < nl; l++ {
+			gl := g.gLat[l]
+			base := l * plane
+			top := l == nl-1
+			var gUp, gDown float64
+			if l < nl-1 {
+				gUp = g.gUp[l]
+			}
+			if l > 0 {
+				gDown = g.gUp[l-1]
+			}
+			var pw []float64
+			if ai < len(g.active) && g.active[ai] == l {
+				pw = power.Frames[ai].Data
+				ai++
+			}
+			for iy := 0; iy < ny; iy++ {
+				row := base + iy*nx
+				for ix := 0; ix < nx; ix++ {
+					i := row + ix
+					num, den := 0.0, 0.0
+					if ix > 0 {
+						num += gl * t[i-1]
+						den += gl
+					}
+					if ix < nx-1 {
+						num += gl * t[i+1]
+						den += gl
+					}
+					if iy > 0 {
+						num += gl * t[i-nx]
+						den += gl
+					}
+					if iy < ny-1 {
+						num += gl * t[i+nx]
+						den += gl
+					}
+					if gDown != 0 {
+						num += gDown * t[i-plane]
+						den += gDown
+					}
+					if gUp != 0 {
+						num += gUp * t[i+plane]
+						den += gUp
+					}
+					if top {
+						num += g.gConv * g.Ambient
+						den += g.gConv
+					}
+					if pw != nil {
+						num += pw[i-base]
+					}
+					gs := num / den
+					nv := t[i] + omega*(gs-t[i])
+					if d := math.Abs(nv - t[i]); d > maxDelta {
+						maxDelta = d
+					}
+					t[i] = nv
+				}
+			}
+		}
+		if maxDelta < tol {
+			return it, nil
+		}
+	}
+	return maxIters, fmt.Errorf("thermal: steady solve did not converge in %d iterations", maxIters)
 }

@@ -19,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-BenchmarkKernelThermalStep|BenchmarkKernelADIStep|BenchmarkKernelMLTDField|BenchmarkKernelAnalyzePass|BenchmarkKernelPercentiles|BenchmarkSec4ATempScaling|BenchmarkStackedRun}"
+PATTERN="${BENCH_PATTERN:-BenchmarkKernelThermalStep|BenchmarkKernelADIStep|BenchmarkKernelMLTDField|BenchmarkKernelAnalyzePass|BenchmarkKernelPercentiles|BenchmarkKernelSteadySolve|BenchmarkSec4ATempScaling|BenchmarkStackedRun}"
 COUNT="${BENCH_COUNT:-5}"
 THRESHOLD="${BENCH_THRESHOLD:-60}"
 BASELINE="${BENCH_BASELINE:-BENCH_thermal.json}"
