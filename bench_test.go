@@ -373,7 +373,9 @@ func BenchmarkKernelThermalStep(b *testing.B) {
 
 // BenchmarkKernelADIStep times one full ADI timestep (adaptive
 // substepping at default ErrTol) on the same grid and power map as
-// BenchmarkKernelThermalStep, so the two names compare directly.
+// BenchmarkKernelThermalStep, so the two names compare directly. It
+// reports the mean ADI substeps per Step — the Richardson ladder's share
+// of the work, which a kernel change must not move.
 func BenchmarkKernelADIStep(b *testing.B) {
 	fp := floorplan.MustNew(floorplan.Config{Node: tech.Node7})
 	grid, err := thermal.NewGrid(fp.Die, 0.1, thermal.DefaultStack(), thermal.SinkConductance, 40)
@@ -384,7 +386,7 @@ func BenchmarkKernelADIStep(b *testing.B) {
 	pf := geometry.NewField(grid.NX, grid.NY, 0.1)
 	pf.Rasterize(fp.CoreRects[0], 12)
 	pw := thermal.NewPower(pf)
-	var solver thermal.ADI
+	solver := thermal.ADI{Substeps: &obs.Counter{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -392,6 +394,7 @@ func BenchmarkKernelADIStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(solver.Substeps.Value())/float64(b.N), "substeps/op")
 }
 
 // BenchmarkKernelSteadySolve times the steady solve every idle-warmup

@@ -50,6 +50,13 @@ type LeaseEvent struct {
 // lands on.
 const maxAssigns = 5
 
+// rpcTimeout bounds each cluster RPC — a coordinator's batch push, a
+// worker's join, heartbeat or result post — with its own context
+// deadline. Under a chaos transport's latency injection this, not the
+// HTTP client's total timeout, keeps one slow or black-holed link from
+// wedging the dispatch or heartbeat loop past the lease TTL.
+const rpcTimeout = 5 * time.Second
+
 // CoordinatorOptions tunes a Coordinator. The zero value is usable:
 // 10 s leases, batches of 4, the real clock, and no local fallback.
 type CoordinatorOptions struct {
@@ -61,9 +68,6 @@ type CoordinatorOptions struct {
 	// A worker holds at most one open batch, so Batch also bounds how
 	// many runs a dead worker can strand for one lease TTL.
 	Batch int
-	// Replicas is the ring's virtual-node count per worker (tests;
-	// 0 = the package default).
-	Replicas int
 	// Registry receives the cluster/* metrics (nil = a fresh one).
 	Registry *obs.Registry
 	// Clock overrides time.Now (tests).
@@ -71,11 +75,6 @@ type CoordinatorOptions struct {
 	// Client is the HTTP client used to push batches (nil = a client
 	// with a 10 s total timeout).
 	Client *http.Client
-	// RPCTimeout bounds each individual batch push with a per-request
-	// context deadline (default 5 s). Under a chaos transport's latency
-	// injection this — not the client's total timeout — is what keeps a
-	// single slow link from wedging the dispatch loop.
-	RPCTimeout time.Duration
 	// BreakerThreshold is the consecutive-push-failure count that trips
 	// a worker's dispatch circuit breaker (default 3).
 	BreakerThreshold int
@@ -130,12 +129,11 @@ type resolution struct {
 // to idle ones. Create with NewCoordinator, feed it with Execute, and
 // stop it with Close (after cancelling outstanding Execute contexts).
 type Coordinator struct {
-	opts       CoordinatorOptions
-	clock      func() time.Time
-	client     *http.Client
-	leases     *LeaseTable
-	rpcTimeout time.Duration
-	retry      *backoff
+	opts   CoordinatorOptions
+	clock  func() time.Time
+	client *http.Client
+	leases *LeaseTable
+	retry  *backoff
 
 	mu         sync.Mutex
 	workers    map[string]*remoteWorker
@@ -179,9 +177,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.LocalWorkers <= 0 {
 		opts.LocalWorkers = runtime.GOMAXPROCS(0)
 	}
-	if opts.RPCTimeout <= 0 {
-		opts.RPCTimeout = 5 * time.Second
-	}
 	if opts.BreakerThreshold <= 0 {
 		opts.BreakerThreshold = 3
 	}
@@ -202,10 +197,9 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		clock:             clock,
 		client:            client,
 		leases:            NewLeaseTable(opts.LeaseTTL),
-		rpcTimeout:        opts.RPCTimeout,
 		retry:             newBackoff(0, 0, opts.RetrySeed),
 		workers:           map[string]*remoteWorker{},
-		ring:              NewRing(opts.Replicas),
+		ring:              NewRing(0),
 		tasks:             map[string]*task{},
 		kick:              make(chan struct{}, 1),
 		stop:              make(chan struct{}),
@@ -562,7 +556,7 @@ func (c *Coordinator) postBatch(addr string, runs []sim.RemoteRun) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.rpcTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/cluster/batch", bytes.NewReader(body))
 	if err != nil {

@@ -38,11 +38,6 @@ type WorkerOptions struct {
 	// join before giving up (0 = 10 s) — a worker booted moments
 	// before its coordinator should wait, not crash.
 	JoinTimeout time.Duration
-	// RPCTimeout bounds each control-plane request (join, heartbeat,
-	// result post) with its own context deadline (default 5 s), so one
-	// black-holed request can never wedge the heartbeat loop past the
-	// lease TTL.
-	RPCTimeout time.Duration
 	// RetrySeed seeds the jittered backoff of the join and result-post
 	// retry loops (0 = the package default).
 	RetrySeed int64
@@ -96,9 +91,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	if opts.JoinTimeout <= 0 {
 		opts.JoinTimeout = 10 * time.Second
-	}
-	if opts.RPCTimeout <= 0 {
-		opts.RPCTimeout = 5 * time.Second
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -176,7 +168,7 @@ func (w *Worker) join() error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(w.ctx, w.opts.RPCTimeout)
+	ctx, cancel := context.WithTimeout(w.ctx, rpcTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		w.opts.Coordinator+"/cluster/join", bytes.NewReader(body))
@@ -239,7 +231,7 @@ func (w *Worker) postJSON(path string, v any, out any) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ctx, cancel := context.WithTimeout(w.ctx, w.opts.RPCTimeout)
+	ctx, cancel := context.WithTimeout(w.ctx, rpcTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		w.opts.Coordinator+path, bytes.NewReader(body))

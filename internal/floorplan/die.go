@@ -283,8 +283,7 @@ func (fp *Floorplan) Validate() error {
 	return nil
 }
 
-// LeftCores, RightCores and MiddleCores identify core positions on the die;
-// the paper reports MLTD asymmetry between them at 7 nm.
-func LeftCores() []int   { return []int{0, 2, 5} }
-func RightCores() []int  { return []int{1, 4, 6} }
-func MiddleCores() []int { return []int{3} }
+// LeftCores and RightCores identify core positions on the die; the paper
+// reports MLTD asymmetry between them at 7 nm.
+func LeftCores() []int  { return []int{0, 2, 5} }
+func RightCores() []int { return []int{1, 4, 6} }

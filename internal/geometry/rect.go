@@ -65,11 +65,6 @@ func (r Rect) Intersection(s Rect) Rect {
 	return Rect{X: x0, Y: y0, W: x1 - x0, H: y1 - y0}
 }
 
-// Translate returns r moved by (dx, dy).
-func (r Rect) Translate(dx, dy float64) Rect {
-	return Rect{X: r.X + dx, Y: r.Y + dy, W: r.W, H: r.H}
-}
-
 // ScaledAbout returns r scaled by factor k about its own center, so that
 // area grows by k² while the center stays fixed.
 func (r Rect) ScaledAbout(k float64) Rect {

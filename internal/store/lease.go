@@ -37,16 +37,3 @@ type LeaseRecord struct {
 
 // Marshal encodes the record for Journal.Append.
 func (r LeaseRecord) Marshal() ([]byte, error) { return json.Marshal(r) }
-
-// DecodeLeaseRecord parses a journal payload as a lease record,
-// ok=false when the payload is some other record type or garbled.
-func DecodeLeaseRecord(payload []byte) (LeaseRecord, bool) {
-	var r LeaseRecord
-	if json.Unmarshal(payload, &r) != nil {
-		return LeaseRecord{}, false
-	}
-	if r.Type != RecLeaseGranted && r.Type != RecLeaseExpired {
-		return LeaseRecord{}, false
-	}
-	return r, true
-}

@@ -11,11 +11,14 @@
 // accuracy reference), and an adaptive alternating-direction-implicit
 // (ADI) solver that is unconditionally stable (the campaign fast path and
 // the divergence fallback; the solver name "implicit" is an alias for
-// it). A steady-state SOR solver serves Ψ/TDP computation (Table IV),
-// idle-warmup initialization and the FastSteady jumps. Its sweeps run as
-// a four-row wavefront that is bit-identical to the lexicographic loop
-// kept in solver_ref.go as the oracle; WarmStart and SolveSteady
-// allocate nothing per call.
+// it). ADI runs one Thomas sweep per grid direction for every substep,
+// and its Richardson ladder starts each level from the level-1 RHS
+// pre-scaled by 1/n, exact because n is a power of two. A steady-state
+// SOR solver serves Ψ/TDP computation (Table IV), idle-warmup
+// initialization and the FastSteady jumps. Its sweeps run as a four-row
+// wavefront that is bit-identical to the lexicographic loop kept in
+// solver_ref.go as the oracle; WarmStart and SolveSteady allocate
+// nothing per call.
 //
 // Both transient solvers optionally report their work into internal/obs
 // counters (Substeps, StabilityHits): the explicit solver counts its

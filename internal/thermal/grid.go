@@ -184,15 +184,9 @@ func (g *Grid) ActiveFieldAt(s *State, i int) *geometry.Field {
 	return f
 }
 
-// ActiveFieldInto copies the first active plane's temperatures into an
+// ActiveFieldAtInto copies active plane i's temperatures into an
 // existing field, letting step loops reuse one buffer instead of
 // allocating a frame per timestep.
-func (g *Grid) ActiveFieldInto(s *State, f *geometry.Field) error {
-	return g.ActiveFieldAtInto(s, 0, f)
-}
-
-// ActiveFieldAtInto copies active plane i's temperatures into an
-// existing field.
 func (g *Grid) ActiveFieldAtInto(s *State, i int, f *geometry.Field) error {
 	if f.NX != g.NX || f.NY != g.NY {
 		return fmt.Errorf("thermal: field %dx%d does not match grid %dx%d", f.NX, f.NY, g.NX, g.NY)
@@ -247,13 +241,10 @@ func (g *Grid) MaxTemp(s *State) float64 {
 	return m
 }
 
-// MeanTemp returns the mean active-plane temperature. Single-active
-// grids take the legacy single-plane path explicitly; multi-die stacks
-// average the per-plane means (each plane has equal cell count).
+// MeanTemp returns the mean active-plane temperature: the average of
+// the per-plane means (each plane has equal cell count). A single-die
+// grid's result is bit-identical to MeanTempAt(s, 0).
 func (g *Grid) MeanTemp(s *State) float64 {
-	if len(g.active) == 1 {
-		return g.MeanTempAt(s, 0)
-	}
 	sum := 0.0
 	for i := range g.active {
 		sum += g.MeanTempAt(s, i)

@@ -48,7 +48,9 @@ func NewSolver(name string, tol float64) (Solver, error) {
 // Explicit is the forward-Euler transient solver with automatic
 // stability-bounded substepping (≈10 µs substeps for the default stack at
 // 100 µm resolution, so a 200 µs simulation timestep runs ~20 substeps).
-// After the first Step on a grid it performs no per-Step allocations.
+// After the first Step on a grid a serial Step performs no allocations;
+// the row-band fan-out (grids of at least parallelCells cells, or
+// Workers > 1) allocates its goroutines and wait group every substep.
 type Explicit struct {
 	// Workers caps the row-band goroutines used per substep. 0 picks
 	// automatically (GOMAXPROCS for grids of at least parallelCells

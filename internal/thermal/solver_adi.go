@@ -43,6 +43,12 @@ import (
 // is what makes checkpoint/resume of ADI runs bit-identical to an
 // uninterrupted run.
 //
+// Every substep, level 1 and ladder alike, runs the same three Thomas
+// sweeps — sweepX, sweepY, then sweepZInto, which also commits
+// u + w₃ — so the oracle tests that hold Step to one substep cover the
+// kernels the ladder runs. A ladder level's first substep reuses the
+// level-1 RHS pre-scaled by 1/n instead of re-evaluating it.
+//
 // After the first Step on a grid it performs no per-Step allocations.
 type ADI struct {
 	// ErrTol bounds the estimated temperature error added per simulation
@@ -163,17 +169,19 @@ func (a *ADI) Step(g *Grid, s *State, power *Power, dt float64) error {
 			// Every level's first substep starts from the saved uⁿ, and
 			// the RHS is linear in dt, so r(uⁿ, dt/n) = r(uⁿ, dt)/n —
 			// bit-exactly, n being a power of two (scaling by 2⁻ᵏ
-			// commutes with every FP rounding). Feeding the scaled
-			// level-1 RHS through the sweeps skips one rhsRows per
-			// level.
-			a.sweepXScaled(g, rhs0, work, 1/float64(n))
-			a.sweepY(g, work)
-			a.sweepZAdd(g, work, s.T)
-			for k := 1; k < n; k++ {
-				rhsRows(g, s.T, rhs, lp, zeros, sub)
+			// commutes with every FP rounding). Scaling the level-1 RHS
+			// skips one rhsRows per level.
+			k := 1 / float64(n)
+			for i, r := range rhs0 {
+				rhs[i] = r * k
+			}
+			for j := 0; j < n; j++ {
+				if j > 0 {
+					rhsRows(g, s.T, rhs, lp, zeros, sub)
+				}
 				a.sweepX(g, rhs, work)
 				a.sweepY(g, work)
-				a.sweepZAdd(g, work, s.T)
+				a.sweepZInto(g, work, s.T, s.T)
 			}
 			executed += int64(n)
 			// Richardson estimate for the finer field: the scheme is at
@@ -200,28 +208,6 @@ func (a *ADI) Step(g *Grid, s *State, power *Power, dt float64) error {
 		a.Saved.Add(saved)
 	}
 	return nil
-}
-
-// advanceOnce commits a single Douglas–Gunn substep of size dt on u and
-// returns the local-truncation estimate ‖w₃ − r‖∞. It is the unit the
-// reference oracle adiStepRef mirrors (see solver_equiv_test.go). power
-// holds one plane slice per grid layer (nil for passive layers).
-func (a *ADI) advanceOnce(g *Grid, u []float64, power [][]float64, dt float64) float64 {
-	cells := len(u)
-	if cap(a.rhs) < cells {
-		a.rhs = make([]float64, cells)
-		a.work = make([]float64, cells)
-	}
-	if cap(a.zeros) < g.NX {
-		a.zeros = make([]float64, g.NX)
-	}
-	rhs, work := a.rhs[:cells], a.work[:cells]
-	a.prepare(g, dt)
-	rhsRows(g, u, rhs, power, a.zeros[:g.NX], dt)
-	a.sweepX(g, rhs, work)
-	a.sweepY(g, work)
-	a.sweepZ(g, work)
-	return commitEst(u, work, rhs)
 }
 
 // prepare (re)builds the Thomas forward-elimination coefficients for
@@ -368,65 +354,6 @@ func (a *ADI) sweepX(g *Grid, src, dst []float64) {
 	}
 }
 
-// sweepXScaled is sweepX on k·src without materializing the scaled
-// vector: the system is linear, so scaling the RHS inside the forward
-// elimination solves (I − dt/2·A₁)x = k·src. The ladder uses it with
-// k = 1/n to reuse the level-1 RHS (see Step).
-func (a *ADI) sweepXScaled(g *Grid, src, dst []float64, k float64) {
-	nx, ny, nl := g.NX, g.NY, g.NL
-	if nx == 1 {
-		for i := range dst {
-			dst[i] = src[i] * k
-		}
-		return
-	}
-	for l := 0; l < nl; l++ {
-		al := a.alpha[l]
-		inv := a.invDenX[l*nx : (l+1)*nx]
-		base := l * nx * ny
-		iy := 0
-		for ; iy+4 <= ny; iy += 4 {
-			i0 := base + iy*nx
-			s0, s1, s2, s3 := src[i0:i0+nx], src[i0+nx:i0+2*nx], src[i0+2*nx:i0+3*nx], src[i0+3*nx:i0+4*nx]
-			r0, r1, r2, r3 := dst[i0:i0+nx], dst[i0+nx:i0+2*nx], dst[i0+2*nx:i0+3*nx], dst[i0+3*nx:i0+4*nx]
-			f := inv[0]
-			p0, p1, p2, p3 := s0[0]*k*f, s1[0]*k*f, s2[0]*k*f, s3[0]*k*f
-			r0[0], r1[0], r2[0], r3[0] = p0, p1, p2, p3
-			for ix := 1; ix < nx; ix++ {
-				f = inv[ix]
-				p0 = (s0[ix]*k + al*p0) * f
-				p1 = (s1[ix]*k + al*p1) * f
-				p2 = (s2[ix]*k + al*p2) * f
-				p3 = (s3[ix]*k + al*p3) * f
-				r0[ix], r1[ix], r2[ix], r3[ix] = p0, p1, p2, p3
-			}
-			for ix := nx - 2; ix >= 0; ix-- {
-				e := al * inv[ix]
-				p0 = r0[ix] + e*p0
-				p1 = r1[ix] + e*p1
-				p2 = r2[ix] + e*p2
-				p3 = r3[ix] + e*p3
-				r0[ix], r1[ix], r2[ix], r3[ix] = p0, p1, p2, p3
-			}
-		}
-		for ; iy < ny; iy++ {
-			i0 := base + iy*nx
-			s, row := src[i0:i0+nx], dst[i0:i0+nx]
-			prev := s[0] * k * inv[0]
-			row[0] = prev
-			for ix := 1; ix < nx; ix++ {
-				prev = (s[ix]*k + al*prev) * inv[ix]
-				row[ix] = prev
-			}
-			next := row[nx-1]
-			for ix := nx - 2; ix >= 0; ix-- {
-				next = row[ix] + al*inv[ix]*next
-				row[ix] = next
-			}
-		}
-	}
-}
-
 // sweepY solves the y-line systems in place. The elimination recurrence
 // couples consecutive iy rows of a layer, so both passes iterate rows in
 // order with a contiguous inner loop over ix — same arithmetic as a
@@ -464,81 +391,14 @@ func (a *ADI) sweepY(g *Grid, w []float64) {
 	}
 }
 
-// sweepZ solves the z-column systems in place, plane by plane. The
-// column matrix is the same for every (ix, iy), with per-layer
-// couplings and the convective term on the top diagonal.
-func (a *ADI) sweepZ(g *Grid, w []float64) {
-	nx, ny, nl := g.NX, g.NY, g.NL
-	plane := nx * ny
-	first := w[:plane]
-	inv0 := a.invDenZ[0]
-	for j := 0; j < plane; j++ {
-		first[j] *= inv0
-	}
-	for l := 1; l < nl; l++ {
-		cur := w[l*plane : (l+1)*plane]
-		prev := w[(l-1)*plane : l*plane]
-		bd, f := a.betaD[l], a.invDenZ[l]
-		for j := 0; j < plane; j++ {
-			cur[j] = (cur[j] + bd*prev[j]) * f
-		}
-	}
-	for l := nl - 2; l >= 0; l-- {
-		cur := w[l*plane : (l+1)*plane]
-		next := w[(l+1)*plane : (l+2)*plane]
-		f := a.betaU[l] * a.invDenZ[l]
-		for j := 0; j < plane; j++ {
-			cur[j] += f * next[j]
-		}
-	}
-}
-
-// sweepZAdd is sweepZ fused with the commit u += w₃: each z-column's
-// back-substitution finalizes one layer per pass, so the add folds into
-// the same traversal instead of costing an extra full-array pass. The
-// per-element sums are the exact ops addTo would do, so the result is
-// bit-identical to sweepZ followed by addTo.
-func (a *ADI) sweepZAdd(g *Grid, w, u []float64) {
-	nx, ny, nl := g.NX, g.NY, g.NL
-	plane := nx * ny
-	first := w[:plane]
-	inv0 := a.invDenZ[0]
-	for j := 0; j < plane; j++ {
-		first[j] *= inv0
-	}
-	for l := 1; l < nl; l++ {
-		cur := w[l*plane : (l+1)*plane]
-		prev := w[(l-1)*plane : l*plane]
-		bd, f := a.betaD[l], a.invDenZ[l]
-		for j := 0; j < plane; j++ {
-			cur[j] = (cur[j] + bd*prev[j]) * f
-		}
-	}
-	// The top layer is final after forward elimination; commit it, then
-	// commit each remaining layer as back-substitution finalizes it.
-	top := w[(nl-1)*plane : nl*plane]
-	ut := u[(nl-1)*plane : nl*plane]
-	for j := 0; j < plane; j++ {
-		ut[j] += top[j]
-	}
-	for l := nl - 2; l >= 0; l-- {
-		cur := w[l*plane : (l+1)*plane]
-		next := w[(l+1)*plane : (l+2)*plane]
-		ul := u[l*plane : (l+1)*plane]
-		f := a.betaU[l] * a.invDenZ[l]
-		for j := 0; j < plane; j++ {
-			v := cur[j] + f*next[j]
-			cur[j] = v
-			ul[j] += v
-		}
-	}
-}
-
-// sweepZInto is sweepZ fused with out = u + w₃: the candidate field is
-// written to out while u itself stays untouched, letting the caller
-// accept it with a memmove or discard it for free. The per-element sums
-// are the exact ops a commit would do, so out is bit-identical to
-// committing w₃ into a copy of u.
+// sweepZInto solves the z-column systems in place in w, plane by plane,
+// and writes out = u + w₃. The column matrix is the same for every
+// (ix, iy), with per-layer couplings and the convective term on the top
+// diagonal. Back-substitution finalizes one layer per pass, so the
+// commit folds into the same traversal. out may alias u: the ladder
+// commits each substep into s.T in place, while level 1 writes its
+// candidate to a separate buffer and leaves uⁿ untouched, so accepting
+// it is a memmove and discarding it is free.
 func (a *ADI) sweepZInto(g *Grid, w, u, out []float64) {
 	nx, ny, nl := g.NX, g.NY, g.NL
 	plane := nx * ny
@@ -651,19 +511,6 @@ func rhsRows(g *Grid, cur, out []float64, power [][]float64, zeros []float64, dt
 		lat = gl*c[ix-1] + gN*nn[ix] + gS*ss[ix]
 		o[ix] = (lat + (gDown*dd[ix] + gUp*uu[ix]) + (cp + pw[ix]) - gEdge*c[ix]) * invC
 	}
-}
-
-// commitEst adds the ADI update w into u and returns ‖w − r‖∞, the
-// resolved-dynamics estimate, in the same pass.
-func commitEst(u, w, r []float64) float64 {
-	m := 0.0
-	for i := range u {
-		u[i] += w[i]
-		if d := math.Abs(w[i] - r[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // maxAbsDiff returns ‖a − b‖∞.

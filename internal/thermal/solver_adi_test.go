@@ -1,10 +1,15 @@
 package thermal
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"hotgauge/internal/geometry"
 	"hotgauge/internal/obs"
 )
 
@@ -19,10 +24,11 @@ var adiShapes = func() []struct{ nx, ny, nl int } {
 	)
 }()
 
-// TestADISweepsMatchReference validates the optimized Douglas–Gunn
-// substep (precomputed Thomas coefficients, plane-vectorized sweeps)
-// against the naive assemble-and-solve oracle, across uneven grids,
-// extreme aspect ratios and randomized power fields.
+// TestADISweepsMatchReference validates the production Douglas–Gunn
+// substep — ADI.Step held to one substep, with its precomputed Thomas
+// coefficients and plane-vectorized sweeps — against the naive
+// assemble-and-solve oracle, across uneven grids, extreme aspect ratios
+// and randomized power fields.
 func TestADISweepsMatchReference(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(303 + seed))
@@ -30,20 +36,8 @@ func TestADISweepsMatchReference(t *testing.T) {
 			g := syntheticGrid(sh.nx, sh.ny, sh.nl, rng)
 			u := randTemps(g.Cells(), rng)
 			power := singleLayerPower(g, randPower(g.NX, g.NY, rng))
-			dt := 20 * g.dtStable
-
-			fast := append([]float64(nil), u...)
-			ref := append([]float64(nil), u...)
-			var a ADI
-			a.advanceOnce(g, fast, power, dt)
-			adiStepRef(g, ref, power, dt)
-
-			for i := range ref {
-				if !closeTo(fast[i], ref[i], 1e-9) {
-					t.Fatalf("seed %d %dx%dx%d: cell %d: fast %.17g vs ref %.17g",
-						seed, sh.nx, sh.ny, sh.nl, i, fast[i], ref[i])
-				}
-			}
+			name := fmt.Sprintf("seed %d %dx%dx%d", seed, sh.nx, sh.ny, sh.nl)
+			checkADISubstep(t, name, &ADI{MaxSubsteps: 1}, g, u, power, 20*g.dtStable)
 		}
 	}
 }
@@ -57,20 +51,8 @@ func TestADISweepsMatchReferenceMultiActive(t *testing.T) {
 		g := syntheticGrid(sh.nx, sh.ny, sh.nl, rng)
 		u := randTemps(g.Cells(), rng)
 		power := multiLayerPower(g, rng)
-		dt := 20 * g.dtStable
-
-		fast := append([]float64(nil), u...)
-		ref := append([]float64(nil), u...)
-		var a ADI
-		a.advanceOnce(g, fast, power, dt)
-		adiStepRef(g, ref, power, dt)
-
-		for i := range ref {
-			if !closeTo(fast[i], ref[i], 1e-9) {
-				t.Fatalf("%dx%dx%d: cell %d: fast %.17g vs ref %.17g",
-					sh.nx, sh.ny, sh.nl, i, fast[i], ref[i])
-			}
-		}
+		name := fmt.Sprintf("%dx%dx%d", sh.nx, sh.ny, sh.nl)
+		checkADISubstep(t, name, &ADI{MaxSubsteps: 1}, g, u, power, 20*g.dtStable)
 	}
 }
 
@@ -80,23 +62,32 @@ func TestADISweepsMatchReferenceMultiActive(t *testing.T) {
 // grid or dt changes).
 func TestADICoefficientReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
-	var a ADI
+	a := &ADI{MaxSubsteps: 1}
 	for _, dtF := range []float64{5, 50, 5} { // revisit the first dt
 		for _, sh := range []struct{ nx, ny, nl int }{{9, 8, 5}, {7, 1, 3}} {
 			g := syntheticGrid(sh.nx, sh.ny, sh.nl, rng)
 			u := randTemps(g.Cells(), rng)
 			power := singleLayerPower(g, randPower(g.NX, g.NY, rng))
-			dt := dtF * g.dtStable
-			fast := append([]float64(nil), u...)
-			ref := append([]float64(nil), u...)
-			a.advanceOnce(g, fast, power, dt)
-			adiStepRef(g, ref, power, dt)
-			for i := range ref {
-				if !closeTo(fast[i], ref[i], 1e-9) {
-					t.Fatalf("dt=%v·stable %dx%dx%d: cell %d: fast %.17g vs ref %.17g",
-						dtF, sh.nx, sh.ny, sh.nl, i, fast[i], ref[i])
-				}
-			}
+			name := fmt.Sprintf("dt=%v·stable %dx%dx%d", dtF, sh.nx, sh.ny, sh.nl)
+			checkADISubstep(t, name, a, g, u, power, dtF*g.dtStable)
+		}
+	}
+}
+
+// checkADISubstep steps a copy of u once with a (MaxSubsteps 1, so one
+// Douglas–Gunn substep) and a copy with the adiStepRef oracle, under
+// the per-layer power planes lp, and fails on any cell beyond 1e-9.
+func checkADISubstep(t *testing.T, name string, a *ADI, g *Grid, u []float64, lp [][]float64, dt float64) {
+	t.Helper()
+	fast := &State{T: append([]float64(nil), u...)}
+	ref := append([]float64(nil), u...)
+	if err := a.Step(g, fast, activePower(g, lp), dt); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	adiStepRef(g, ref, lp, dt)
+	for i := range ref {
+		if !closeTo(fast.T[i], ref[i], 1e-9) {
+			t.Fatalf("%s: cell %d: fast %.17g vs ref %.17g", name, i, fast.T[i], ref[i])
 		}
 	}
 }
@@ -252,6 +243,68 @@ func TestADIAdaptiveSubstepping(t *testing.T) {
 				i, d, tol, transient.Substeps.Value())
 		}
 	}
+}
+
+// TestADILadderPinned pins the Richardson ladder bit for bit. Random
+// fields stepped at 20·dtStable under tight ErrTol escalate on most
+// steps, so the sha256 over every committed field and the total substep
+// count cover each ladder level's sweeps, RHS scaling and commits. Both
+// values were captured before the ladder shared its sweeps with the
+// level-1 path; any change to an ADI coefficient, a sweep's operation
+// order or the escalation policy moves them.
+func TestADILadderPinned(t *testing.T) {
+	const (
+		wantSum      = "faeb484eab01bd5cf4a1a88a7f782760c123737d437711787a035a0b5906c02e"
+		wantSubsteps = 13008
+	)
+	h := sha256.New()
+	var buf [8]byte
+	substeps := &obs.Counter{}
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(505 + seed))
+		for _, sh := range adiShapes {
+			for _, tol := range []float64{1e-1, 1e-3, 1e-6} {
+				for _, multi := range []bool{false, true} {
+					g := syntheticGrid(sh.nx, sh.ny, sh.nl, rng)
+					lp := singleLayerPower(g, randPower(g.NX, g.NY, rng))
+					if multi {
+						lp = multiLayerPower(g, rng)
+					}
+					power := activePower(g, lp)
+					s := &State{T: randTemps(g.Cells(), rng)}
+					a := &ADI{ErrTol: tol, MaxSubsteps: 16, Substeps: substeps}
+					for k := 0; k < 3; k++ {
+						if err := a.Step(g, s, power, 20*g.dtStable); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, v := range s.T {
+						binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+						h.Write(buf[:])
+					}
+				}
+			}
+		}
+	}
+	sum := hex.EncodeToString(h.Sum(nil))
+	if sum != wantSum || substeps.Value() != wantSubsteps {
+		t.Fatalf("ladder fields sha256 %s with %d substeps, want %s with %d",
+			sum, substeps.Value(), wantSum, wantSubsteps)
+	}
+}
+
+// activePower makes the non-nil planes of lp the grid's active layers
+// and wraps them, bottom-up, as the Power that Step takes.
+func activePower(g *Grid, lp [][]float64) *Power {
+	g.active = g.active[:0]
+	p := &Power{}
+	for l, d := range lp {
+		if d != nil {
+			g.active = append(g.active, l)
+			p.Frames = append(p.Frames, &geometry.Field{NX: g.NX, NY: g.NY, Dx: g.Dx * 1e3, Data: d})
+		}
+	}
+	return p
 }
 
 func TestADIStepNoAllocsAfterWarmup(t *testing.T) {

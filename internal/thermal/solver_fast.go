@@ -18,7 +18,8 @@ import "runtime"
 // parallelCells is the grid size above which Explicit.Step fans substeps
 // out across row-band goroutines by default. Below it the fork/join
 // overhead (a few µs per substep, ~20-75 substeps per Step) outweighs
-// the win; the default 100 µm single-die grid (~13k cells) stays serial.
+// the win. At 100 µm the 7 nm and 10 nm single-die grids stay serial;
+// the 14 nm grid (91×62×9 = 50,778 cells) splits.
 const parallelCells = 32768
 
 // stepCell computes one explicit-substep cell in sum form given the

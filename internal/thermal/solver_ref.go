@@ -71,9 +71,9 @@ func stepOnceRef(g *Grid, cur, next []float64, power [][]float64, dt float64) {
 // textbook way: the explicit RHS is taken as the forward-Euler update of
 // stepOnceRef, and each directional system is assembled into freshly
 // allocated tridiagonal bands and solved with a generic Thomas solver.
-// The optimized sweeps in solver_adi.go are validated against this
-// cell-for-cell (see solver_equiv_test.go). power holds one plane slice
-// per grid layer (nil for passive layers).
+// ADI.Step held to one substep is validated against this cell for cell
+// (see solver_adi_test.go). power holds one plane slice per grid layer
+// (nil for passive layers).
 func adiStepRef(g *Grid, u []float64, power [][]float64, dt float64) {
 	nx, ny, nl := g.NX, g.NY, g.NL
 	plane := nx * ny
