@@ -1,7 +1,9 @@
 GO ?= go
 
-# Benchmark settings: BENCH_COUNT feeds -count (benchstat wants >= 10
-# samples); BENCH_PATTERN selects the hot kernels plus one end-to-end run.
+# Benchmark settings: BENCH_COUNT feeds `make bench`'s -count (benchstat
+# wants >= 10 samples). BENCH_PATTERN is the gated set, written only
+# here: the hot kernels plus the Section-4A and stacked end-to-end runs,
+# for both `make bench` and `make bench-check`.
 BENCH_COUNT ?= 10
 BENCH_PATTERN ?= BenchmarkKernelThermalStep|BenchmarkKernelADIStep|BenchmarkKernelMLTDField|BenchmarkKernelAnalyzePass|BenchmarkKernelPercentiles|BenchmarkKernelSteadySolve|BenchmarkSec4ATempScaling|BenchmarkStackedRun
 
@@ -99,18 +101,15 @@ triagecheck:
 	$(GO) test -race -count=1 -run '^TestExecuteTriage$$' ./cmd/hotgauge/
 	HOTGAUGE_TRIAGE_E2E=1 $(GO) test -race -count=1 -run '^TestTriageE2E$$' -v ./internal/serve/
 
-# Kernel + end-to-end benchmarks with benchstat-ready repetition; the raw
-# output lands in BENCH_thermal.txt and a machine-readable summary (name,
-# ns/op, allocs/op) in BENCH_thermal.json.
+# Kernel + end-to-end benchmarks with benchstat-ready repetition,
+# printed only (redirect to a file to feed benchstat).
 bench:
-	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) . | tee BENCH_thermal.txt
-	$(GO) run ./cmd/benchjson -out BENCH_thermal.json BENCH_thermal.txt
+	$(GO) test -run=NONE -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) .
 
-# Benchmark regression guard: re-run the benchmark set briefly and
-# compare best samples against the committed BENCH_thermal.json with
-# benchjson -compare (threshold/pattern/count via BENCH_* env vars).
+# Benchmark regression gate: A/B runs of the gated set against the merge
+# base on this host, compared by cmd/benchcmp (see scripts/bench_compare.sh).
 bench-check:
-	bash scripts/bench_compare.sh
+	BENCH_PATTERN='$(BENCH_PATTERN)' bash scripts/bench_compare.sh
 
 # Every benchmark in the repo, once (the paper-artifact sweep).
 bench-all:

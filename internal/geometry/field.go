@@ -179,33 +179,3 @@ func (f *Field) Rasterize(r Rect, total float64) {
 		}
 	}
 }
-
-// Resample returns f resampled onto an nx×ny grid with pitch dx using
-// area-weighted averaging. It is used for grid-resolution ablations.
-func (f *Field) Resample(nx, ny int, dx float64) *Field {
-	out := NewField(nx, ny, dx)
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			cell := Rect{X: float64(ix) * dx, Y: float64(iy) * dx, W: dx, H: dx}
-			sum, area := 0.0, 0.0
-			sx0 := int(math.Floor(cell.X / f.Dx))
-			sy0 := int(math.Floor(cell.Y / f.Dx))
-			sx1 := int(math.Ceil(cell.MaxX()/f.Dx)) - 1
-			sy1 := int(math.Ceil(cell.MaxY()/f.Dx)) - 1
-			for sy := max(sy0, 0); sy <= min(sy1, f.NY-1); sy++ {
-				for sx := max(sx0, 0); sx <= min(sx1, f.NX-1); sx++ {
-					src := Rect{X: float64(sx) * f.Dx, Y: float64(sy) * f.Dx, W: f.Dx, H: f.Dx}
-					ov := src.Intersection(cell).Area()
-					if ov > 0 {
-						sum += f.At(sx, sy) * ov
-						area += ov
-					}
-				}
-			}
-			if area > 0 {
-				out.Set(ix, iy, sum/area)
-			}
-		}
-	}
-	return out
-}

@@ -115,29 +115,6 @@ func TestSubAndAddFieldInverse(t *testing.T) {
 	}
 }
 
-func TestResamplePreservesMeanOfUniformField(t *testing.T) {
-	f := NewField(30, 30, 0.1)
-	f.Fill(7.5)
-	g := f.Resample(10, 10, 0.3)
-	for i, v := range g.Data {
-		if math.Abs(v-7.5) > 1e-9 {
-			t.Fatalf("resampled cell %d = %v, want 7.5", i, v)
-		}
-	}
-}
-
-func TestResampleAveragesSubcells(t *testing.T) {
-	f := NewField(2, 2, 0.5)
-	f.Set(0, 0, 1)
-	f.Set(1, 0, 3)
-	f.Set(0, 1, 5)
-	f.Set(1, 1, 7)
-	g := f.Resample(1, 1, 1.0)
-	if math.Abs(g.At(0, 0)-4) > 1e-12 {
-		t.Fatalf("coarse cell = %v, want 4", g.At(0, 0))
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	f := NewField(2, 2, 1)
 	g := f.Clone()

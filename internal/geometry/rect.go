@@ -73,27 +73,6 @@ func (r Rect) ScaledAbout(k float64) Rect {
 	return Rect{X: cx - w/2, Y: cy - h/2, W: w, H: h}
 }
 
-// ScaledAreaAbout returns r with its area scaled by factor k (linear
-// dimensions by √k) about its own center.
-func (r Rect) ScaledAreaAbout(k float64) Rect {
-	return r.ScaledAbout(math.Sqrt(k))
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	x0 := math.Min(r.X, s.X)
-	y0 := math.Min(r.Y, s.Y)
-	x1 := math.Max(r.MaxX(), s.MaxX())
-	y1 := math.Max(r.MaxY(), s.MaxY())
-	return Rect{X: x0, Y: y0, W: x1 - x0, H: y1 - y0}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("Rect(%.3f,%.3f %.3fx%.3f mm)", r.X, r.Y, r.W, r.H)

@@ -100,26 +100,6 @@ func TestScaledAboutPreservesCenter(t *testing.T) {
 	}
 }
 
-func TestScaledAreaAbout(t *testing.T) {
-	r := Rect{X: 0, Y: 0, W: 2, H: 3}
-	s := r.ScaledAreaAbout(10)
-	if math.Abs(s.Area()-10*r.Area()) > 1e-9 {
-		t.Fatalf("area = %v, want %v", s.Area(), 10*r.Area())
-	}
-}
-
-func TestUnionContainsBoth(t *testing.T) {
-	a := Rect{X: 0, Y: 0, W: 1, H: 1}
-	b := Rect{X: 5, Y: 5, W: 2, H: 1}
-	u := a.Union(b)
-	if u.X != 0 || u.Y != 0 || u.MaxX() != 7 || u.MaxY() != 6 {
-		t.Fatalf("Union = %v", u)
-	}
-	if got := a.Union(Rect{}); got != a {
-		t.Fatalf("Union with empty = %v, want %v", got, a)
-	}
-}
-
 func TestDist(t *testing.T) {
 	if got := Dist(0, 0, 3, 4); got != 5 {
 		t.Fatalf("Dist = %v, want 5", got)

@@ -22,10 +22,9 @@ import (
 // Configs carrying opaque behaviour the hash cannot canonically
 // represent — a custom perf.Source, a Controller, or a thermal.Solver
 // other than Explicit/ADI — are rejected with an error, as is any
-// config that fails validation. Config.Obs and solver tuning knobs that
-// are proven result-neutral (Explicit.Workers runs bit-identical at any
-// worker count) are excluded, as is the operational MaxWallTime budget
-// (it changes when a run gives up, never what it computes).
+// config that fails validation. Config.Obs and the solvers' counters
+// are excluded, as is the operational MaxWallTime budget (it changes
+// when a run gives up, never what it computes).
 func (c Config) Hash() (string, error) {
 	b, err := c.canonicalJSON()
 	if err != nil {
@@ -184,10 +183,10 @@ func (c Config) canonicalJSON() ([]byte, error) {
 }
 
 // canonicalSolver maps a solver to its hash token. Only the stock
-// solvers are representable: Explicit hashes by name alone (its Workers
-// knob is bit-identical at any value, and its counters are
-// instrumentation), while ADI includes the knobs that change its
-// numerics, with the documented defaults filled in.
+// solvers are representable: Explicit hashes by name alone (its only
+// settable fields are counters, which are instrumentation), while ADI
+// includes the knobs that change its numerics, with the documented
+// defaults filled in.
 func canonicalSolver(s thermal.Solver) (string, error) {
 	switch sv := s.(type) {
 	case *thermal.Explicit:

@@ -224,19 +224,6 @@ func RMS(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// Deltas returns successive differences xs[i+1]−xs[i]: the per-timestep
-// temperature deltas whose distribution Fig. 2 compares across nodes.
-func Deltas(xs []float64) []float64 {
-	if len(xs) < 2 {
-		return nil
-	}
-	out := make([]float64, len(xs)-1)
-	for i := range out {
-		out[i] = xs[i+1] - xs[i]
-	}
-	return out
-}
-
 // Histogram is a fixed-range linear-bin histogram. Values outside the
 // range clamp into the end bins so mass is never lost.
 type Histogram struct {

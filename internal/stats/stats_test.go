@@ -155,22 +155,6 @@ func TestRMSWeightsHighSeverityMore(t *testing.T) {
 	}
 }
 
-func TestDeltas(t *testing.T) {
-	d := Deltas([]float64{1, 4, 2, 2})
-	want := []float64{3, -2, 0}
-	if len(d) != 3 {
-		t.Fatalf("len = %d", len(d))
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("delta[%d] = %v, want %v", i, d[i], want[i])
-		}
-	}
-	if Deltas([]float64{7}) != nil {
-		t.Fatal("single-element deltas not nil")
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h, err := NewHistogram(0, 10, 5)
 	if err != nil {

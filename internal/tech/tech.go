@@ -81,12 +81,6 @@ type OperatingPoint struct {
 // representative of turbo boost: 1.4 V at 5 GHz.
 var TurboPoint = OperatingPoint{Voltage: 1.4, Frequency: 5e9}
 
-// DynamicPower returns a·C·V²·f for activity factor a and effective
-// switching capacitance C [F] at this operating point.
-func (op OperatingPoint) DynamicPower(activity, cdyn float64) float64 {
-	return activity * cdyn * op.Voltage * op.Voltage * op.Frequency
-}
-
 // DennardPowerDensityScale returns the power-density scaling that classic
 // Dennard scaling would have delivered (constant, i.e. 1.0) — kept as an
 // explicit function so the §II-A power-density experiment can report the

@@ -55,17 +55,6 @@ func TestPowerDensityRisesPostDennard(t *testing.T) {
 	}
 }
 
-func TestDynamicPower(t *testing.T) {
-	// 1 nF at 1.4 V, 5 GHz, full activity: P = C V² f = 9.8 W.
-	got := TurboPoint.DynamicPower(1.0, 1e-9)
-	if math.Abs(got-9.8) > 1e-9 {
-		t.Fatalf("DynamicPower = %v, want 9.8", got)
-	}
-	if half := TurboPoint.DynamicPower(0.5, 1e-9); math.Abs(half-4.9) > 1e-9 {
-		t.Fatalf("activity scaling broken: %v", half)
-	}
-}
-
 func TestLeakageDensityScaleMonotone(t *testing.T) {
 	if !(Node7.LeakageDensityScale() > Node10.LeakageDensityScale() &&
 		Node10.LeakageDensityScale() > Node14.LeakageDensityScale()) {

@@ -49,23 +49,22 @@ func NewSolver(name string, tol float64) (Solver, error) {
 // stability-bounded substepping (≈10 µs substeps for the default stack at
 // 100 µm resolution, so a 200 µs simulation timestep runs ~20 substeps).
 // After the first Step on a grid a serial Step performs no allocations;
-// the row-band fan-out (grids of at least parallelCells cells, or
-// Workers > 1) allocates its goroutines and wait group every substep.
+// the row-band fan-out (grids of at least parallelCells cells) allocates
+// its goroutines and wait group every substep. The band count is
+// GOMAXPROCS (capped at the row count) on those grids and 1 below; each
+// substep is embarrassingly parallel over cells, so the bands produce
+// bit-identical results at any count.
 type Explicit struct {
-	// Workers caps the row-band goroutines used per substep. 0 picks
-	// automatically (GOMAXPROCS for grids of at least parallelCells
-	// cells, serial below); 1 forces the serial kernel. Each explicit
-	// substep is embarrassingly parallel over cells, so the bands
-	// produce bit-identical results at any worker count.
-	Workers int
+	// maxWorkers, when non-zero, overrides the automatic band count so
+	// tests can pin the serial and the fanned-out kernel on one grid.
+	maxWorkers int
 
 	scratch []float64
 	zero    []float64
 	lp      [][]float64
 	// Per-grid decisions (scratch sizing, worker count) are hoisted out
 	// of the substep loop: they are recomputed only when Step sees a
-	// different *Grid than the previous call. Changing Workers between
-	// Steps on the same grid therefore requires a fresh Explicit value.
+	// different *Grid than the previous call.
 	grid    *Grid
 	workers int
 

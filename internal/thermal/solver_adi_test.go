@@ -96,8 +96,8 @@ func checkADISubstep(t *testing.T, name string, a *ADI, g *Grid, u []float64, lp
 // (solver, dt): each solver integrates a power transient for 1 ms from a
 // cold start and must land within tol [°C] (max over cells) of the
 // fine-substep reference integration at dt ≤ dtStable. These bounds are
-// what "matched accuracy" means in BENCH_thermal comparisons; tighten
-// them only with bench evidence.
+// what "matched accuracy" means when the solvers' benchmarks are
+// compared; tighten them only with bench evidence.
 func TestSolverAccuracyTable(t *testing.T) {
 	cases := []struct {
 		name   string

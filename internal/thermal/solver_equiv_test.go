@@ -182,8 +182,8 @@ func TestExplicitParallelMatchesSerial(t *testing.T) {
 	serial := g.NewState(DefaultAmbient)
 	par := serial.Clone()
 
-	sSerial := Explicit{Workers: 1}
-	sPar := Explicit{Workers: 4}
+	sSerial := Explicit{maxWorkers: 1}
+	sPar := Explicit{maxWorkers: 4}
 	dt := 5 * g.dtStable
 	for step := 0; step < 4; step++ {
 		if err := sSerial.Step(g, serial, power, dt); err != nil {

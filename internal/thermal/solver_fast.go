@@ -113,9 +113,9 @@ func stepRows(g *Grid, cur, next []float64, power [][]float64, zeros []float64, 
 }
 
 // workerCount resolves how many row-band goroutines an explicit substep
-// over g should use, honouring the solver's Workers override.
+// over g should use, honouring the test-only maxWorkers override.
 func (e *Explicit) workerCount(g *Grid) int {
-	w := e.Workers
+	w := e.maxWorkers
 	if w == 0 {
 		if g.Cells() < parallelCells {
 			return 1
