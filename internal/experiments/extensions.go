@@ -139,10 +139,7 @@ func Cooling(o Options) (*CoolingResult, error) {
 func steadyPsi(g *thermal.Grid) (float64, error) {
 	power := thermal.NewPower(uniformField(g, 20))
 	s := g.NewState(thermal.DefaultAmbient)
-	if err := thermal.WarmStart(g, s, power); err != nil {
-		return 0, err
-	}
-	if _, err := thermal.SolveSteady(g, s, power, 1e-5, 0); err != nil {
+	if _, err := thermal.WarmSteady(g, s, power, 1e-5); err != nil {
 		return 0, err
 	}
 	return (g.MeanTemp(s) - thermal.DefaultAmbient) / 20, nil

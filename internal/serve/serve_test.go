@@ -418,6 +418,22 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestFinishedJobContextDone checks that a job's terminal transition
+// cancels its context, so the daemon's base context stops holding every
+// finished job for the life of the process.
+func TestFinishedJobContextDone(t *testing.T) {
+	s, ts := newTestServer(t, Options{QueueSize: 4, Workers: 1})
+	a := submit(t, ts, tinySpec(7, 2))
+	waitState(t, ts, a.ID, JobDone)
+	s.mu.Lock()
+	j := s.jobs[a.ID]
+	s.mu.Unlock()
+	waitFor(t, func() bool { return j.ctx.Err() != nil }, "the finished job's context to be done")
+	if st := j.State(); st != JobDone {
+		t.Fatalf("state %s after cancelling the finished job's context, want done", st)
+	}
+}
+
 func TestUnknownJob404(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, path := range []string{"/jobs/nope", "/jobs/nope/events", "/jobs/nope/results", "/jobs/nope/report"} {

@@ -419,13 +419,15 @@ func (s *Server) closeStore() {
 
 // finishJob performs a job's terminal transition: the in-memory state
 // machine first (idempotent — only the transition that wins counts and
-// journals), then the journal record, then the dedup table entry is
-// released so the next identical submission gets a fresh job.
+// journals), then the journal record, then the job's context is
+// cancelled so the daemon's base context drops it, then the dedup table
+// entry is released so the next identical submission gets a fresh job.
 func (s *Server) finishJob(j *Job, state JobState, errMsg string, counter *obs.Counter) {
 	if j.finish(state, errMsg) {
 		counter.Inc()
 		s.journalRec(journalRecord{Type: recFinished, Job: j.ID, State: string(state), Error: errMsg})
 	}
+	j.cancel()
 	if j.dedupKey != "" {
 		s.mu.Lock()
 		if s.dedup[j.dedupKey] == j.ID {

@@ -82,6 +82,13 @@ const (
 	MetricSteadyJumps = "sim/steady_jumps"
 	MetricSteadySkips = "sim/steady_steps_skipped"
 
+	// MetricWarmupSolved counts idle warmups that ran the steady solve;
+	// MetricWarmupReused counts idle warmups served from thermal's
+	// warm-steady memo (same grid, stack and idle power as an earlier
+	// run). Cold-warmup runs count in neither.
+	MetricWarmupSolved = "sim/warmup_solved"
+	MetricWarmupReused = "sim/warmup_reused"
+
 	// Surrogate triage counters, recorded by Triager (predict-first
 	// campaigns): MetricSurrogatePredictions counts configs scored,
 	// MetricSurrogatePredictErrors predictions that failed (the run falls
@@ -112,6 +119,7 @@ type runMetrics struct {
 	panics, timeouts                           *obs.Counter
 	checkpoints, ckptErrors, resumes           *obs.Counter
 	steadyJumps, steadySkips                   *obs.Counter
+	warmupSolved, warmupReused                 *obs.Counter
 
 	run, setup, perf, power, thermal, detect, record *obs.Timer
 }
@@ -120,24 +128,26 @@ type runMetrics struct {
 // touches the registry's mutex.
 func newRunMetrics(r *obs.Registry) runMetrics {
 	return runMetrics{
-		runs:        r.Counter(MetricRuns),
-		steps:       r.Counter(MetricSteps),
-		hotspots:    r.Counter(MetricHotspots),
-		frames:      r.Counter(MetricFrames),
-		detectSkips: r.Counter(MetricDetectSkipped),
-		panics:      r.Counter(MetricPanics),
-		timeouts:    r.Counter(MetricTimeouts),
-		checkpoints: r.Counter(MetricCheckpoints),
-		ckptErrors:  r.Counter(MetricCheckpointErrors),
-		resumes:     r.Counter(MetricResumes),
-		steadyJumps: r.Counter(MetricSteadyJumps),
-		steadySkips: r.Counter(MetricSteadySkips),
-		run:         r.Timer(MetricRunTime),
-		setup:       r.Timer(MetricStageSetup),
-		perf:        r.Timer(MetricStagePerf),
-		power:       r.Timer(MetricStagePower),
-		thermal:     r.Timer(MetricStageThermal),
-		detect:      r.Timer(MetricStageDetect),
-		record:      r.Timer(MetricStageRecord),
+		runs:         r.Counter(MetricRuns),
+		steps:        r.Counter(MetricSteps),
+		hotspots:     r.Counter(MetricHotspots),
+		frames:       r.Counter(MetricFrames),
+		detectSkips:  r.Counter(MetricDetectSkipped),
+		panics:       r.Counter(MetricPanics),
+		timeouts:     r.Counter(MetricTimeouts),
+		checkpoints:  r.Counter(MetricCheckpoints),
+		ckptErrors:   r.Counter(MetricCheckpointErrors),
+		resumes:      r.Counter(MetricResumes),
+		steadyJumps:  r.Counter(MetricSteadyJumps),
+		steadySkips:  r.Counter(MetricSteadySkips),
+		warmupSolved: r.Counter(MetricWarmupSolved),
+		warmupReused: r.Counter(MetricWarmupReused),
+		run:          r.Timer(MetricRunTime),
+		setup:        r.Timer(MetricStageSetup),
+		perf:         r.Timer(MetricStagePerf),
+		power:        r.Timer(MetricStagePower),
+		thermal:      r.Timer(MetricStageThermal),
+		detect:       r.Timer(MetricStageDetect),
+		record:       r.Timer(MetricStageRecord),
 	}
 }

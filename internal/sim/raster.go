@@ -44,11 +44,14 @@ type weightedCell struct {
 }
 
 func newRasterCache(units []floorplan.Unit, nx, ny int, resolutionMM float64, base int) *rasterCache {
-	rc := &rasterCache{base: base}
-	grid := geometry.NewField(nx, ny, resolutionMM)
+	rc := &rasterCache{base: base, units: make([]unitCells, 0, len(units))}
+	bounds := geometry.Rect{W: float64(nx) * resolutionMM, H: float64(ny) * resolutionMM}
+	// Each unit's cells gather in one reused buffer and are then copied
+	// out at exact length, so the cache keeps no append slack.
+	var buf []weightedCell
 	for _, u := range units {
 		uc := unitCells{name: u.Name}
-		clipped := u.Rect.Intersection(grid.Bounds())
+		clipped := u.Rect.Intersection(bounds)
 		if clipped.Empty() {
 			rc.units = append(rc.units, uc)
 			continue
@@ -60,6 +63,7 @@ func newRasterCache(units []floorplan.Unit, nx, ny int, resolutionMM float64, ba
 		total := u.Rect.Area()
 		ucx, ucy := u.Rect.Center()
 		weightSum := 0.0
+		buf = buf[:0]
 		for iy := max(iy0, 0); iy <= iy1; iy++ {
 			for ix := max(ix0, 0); ix <= ix1; ix++ {
 				cell := geometry.Rect{X: float64(ix) * resolutionMM, Y: float64(iy) * resolutionMM,
@@ -77,10 +81,14 @@ func newRasterCache(units []floorplan.Unit, nx, ny int, resolutionMM float64, ba
 				}
 				bump := math.Cos(rn * math.Pi / 2)
 				w := ov / total * (1 + subUnitConcentration*bump*bump)
-				uc.cells = append(uc.cells, weightedCell{idx: iy*nx + ix, frac: w})
+				buf = append(buf, weightedCell{idx: iy*nx + ix, frac: w})
 				uc.area += ov / total
 				weightSum += w
 			}
+		}
+		if len(buf) > 0 {
+			uc.cells = make([]weightedCell, len(buf))
+			copy(uc.cells, buf)
 		}
 		// Renormalize so the unit's total power is preserved exactly.
 		if weightSum > 0 {

@@ -159,7 +159,8 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 			cfg.Obs.Counter(MetricPerfInstructions),
 			cfg.Obs.Counter(MetricPerfCycles))
 	}
-	proto := geometry.NewField(grid.NX, grid.NY, cfg.Resolution)
+	// The analyzer reads only the prototype's shape and pitch.
+	proto := &geometry.Field{NX: grid.NX, NY: grid.NY, Dx: cfg.Resolution}
 	analyzer, err := core.NewAnalyzer(proto, cfg.Definition)
 	if err != nil {
 		return nil, err
@@ -171,7 +172,7 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 	raster := newRasterCache(fp.Units, grid.NX, grid.NY, cfg.Resolution,
 		grid.ActiveLayerIndex(stk.corePlane)*grid.NX*grid.NY)
 
-	state, err := initialState(cfg, pm, grid, raster, stk)
+	state, err := m.initialState(cfg, pm, grid, raster, stk)
 	if err != nil {
 		return nil, err
 	}
@@ -582,7 +583,10 @@ func (m runMetrics) ctxCause(ctx context.Context) error {
 }
 
 // initialState prepares the thermal state for the configured warmup mode.
-func initialState(cfg Config, pm *power.Model, grid *thermal.Grid, raster *rasterCache, stk *stackRuntime) (*thermal.State, error) {
+// The idle warmup's steady solve goes through thermal.WarmSteady, so runs
+// sharing a grid, stack and idle power map solve it once per process
+// (sim/warmup_solved, sim/warmup_reused).
+func (m runMetrics) initialState(cfg Config, pm *power.Model, grid *thermal.Grid, raster *rasterCache, stk *stackRuntime) (*thermal.State, error) {
 	state := grid.NewState(cfg.Ambient)
 	if cfg.Warmup == WarmupCold {
 		return state, nil
@@ -615,13 +619,15 @@ func initialState(cfg Config, pm *power.Model, grid *thermal.Grid, raster *raste
 		}
 		stk.memRaster.inject(mf, mres)
 	}
-	if err := thermal.WarmStart(grid, state, stk.pw); err != nil {
+	reused, err := thermal.WarmSteady(grid, state, stk.pw, 1e-4)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := thermal.SolveSteady(grid, state, stk.pw, 1e-4, 0); err != nil {
-		return nil, err
+	if reused {
+		m.warmupReused.Inc()
+	} else {
+		m.warmupSolved.Inc()
 	}
-
 	return state, nil
 }
 

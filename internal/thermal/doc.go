@@ -18,7 +18,9 @@
 // initialization and the FastSteady jumps. Its sweeps run as a four-row
 // wavefront that is bit-identical to the lexicographic loop kept in
 // solver_ref.go as the oracle; WarmStart and SolveSteady allocate
-// nothing per call.
+// nothing per call. WarmSteady (WarmStart then SolveSteady) memoizes the
+// solved state process-wide, keyed on a digest of every input, so the
+// idle warmup and Ψ solve once per geometry and power map.
 //
 // Both transient solvers optionally report their work into internal/obs
 // counters (Substeps, StabilityHits): the explicit solver counts its

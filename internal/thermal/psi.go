@@ -25,10 +25,7 @@ func Psi(die geometry.Rect, resolutionMM float64) (float64, error) {
 	}
 	power := NewPower(frame)
 	s := g.NewState(DefaultAmbient)
-	if err := WarmStart(g, s, power); err != nil {
-		return 0, err
-	}
-	if _, err := SolveSteady(g, s, power, 1e-5, 0); err != nil {
+	if _, err := WarmSteady(g, s, power, 1e-5); err != nil {
 		return 0, err
 	}
 	return (g.MeanTemp(s) - DefaultAmbient) / totalPower, nil

@@ -48,17 +48,23 @@ func NewSolver(name string, tol float64) (Solver, error) {
 // Explicit is the forward-Euler transient solver with automatic
 // stability-bounded substepping (≈10 µs substeps for the default stack at
 // 100 µm resolution, so a 200 µs simulation timestep runs ~20 substeps).
-// After the first Step on a grid a serial Step performs no allocations;
-// the row-band fan-out (grids of at least parallelCells cells) allocates
-// its goroutines and wait group every substep. The band count is
-// GOMAXPROCS (capped at the row count) on those grids and 1 below; each
-// substep is embarrassingly parallel over cells, so the bands produce
+// Each substep updates the state in place: new values are staged two
+// layers at a time and written back once nothing reads the old ones
+// (substepBand), so the solver's scratch is two planes rather than a
+// second copy of the field. After the first Step on a grid a serial Step
+// performs no allocations; the row-band fan-out (grids of at least
+// parallelCells cells) allocates its goroutines and wait group every
+// substep. Bands split each layer's rows; the band count is GOMAXPROCS
+// (capped at NY) on those grids and 1 below. Every cell's update reads
+// the same old values whatever the band count, so the bands produce
 // bit-identical results at any count.
 type Explicit struct {
 	// maxWorkers, when non-zero, overrides the automatic band count so
 	// tests can pin the serial and the fanned-out kernel on one grid.
 	maxWorkers int
 
+	// scratch holds the two staging planes, then the halo rows of
+	// every band boundary (two rows per layer per boundary).
 	scratch []float64
 	zero    []float64
 	lp      [][]float64
@@ -95,43 +101,34 @@ func (e *Explicit) Step(g *Grid, s *State, power *Power, dt float64) error {
 		e.StabilityHits.Inc()
 	}
 	if e.grid != g {
-		if cap(e.scratch) < len(s.T) {
-			e.scratch = make([]float64, len(s.T))
+		e.workers = e.workerCount(g)
+		if need := 2*g.NX*g.NY + 2*(e.workers-1)*g.NL*g.NX; cap(e.scratch) < need {
+			e.scratch = make([]float64, need)
 		}
 		if cap(e.zero) < g.NX {
 			e.zero = make([]float64, g.NX)
 		}
-		e.workers = e.workerCount(g)
 		e.grid = g
 	}
 	e.lp = g.layerPower(power, e.lp)
 	lp := e.lp
 	zeros := e.zero[:g.NX]
-	cur, next := s.T, e.scratch[:len(s.T)]
-	rows := g.NL * g.NY
 	workers := e.workers
 	for it := 0; it < n; it++ {
 		if workers <= 1 {
-			stepRows(g, cur, next, lp, zeros, sub, 0, rows)
-		} else {
-			var wg sync.WaitGroup
-			for k := 0; k < workers; k++ {
-				r0, r1 := k*rows/workers, (k+1)*rows/workers
-				if r0 == r1 {
-					continue
-				}
-				wg.Add(1)
-				go func(cur, next []float64, r0, r1 int) {
-					defer wg.Done()
-					stepRows(g, cur, next, lp, zeros, sub, r0, r1)
-				}(cur, next, r0, r1)
-			}
-			wg.Wait()
+			e.substepBand(g, s.T, lp, zeros, sub, 0, 0, g.NY)
+			continue
 		}
-		cur, next = next, cur
-	}
-	if &cur[0] != &s.T[0] {
-		copy(s.T, cur)
+		e.saveHalos(g, s.T, workers)
+		var wg sync.WaitGroup
+		for k := 0; k < workers; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				e.substepBand(g, s.T, lp, zeros, sub, k, k*g.NY/workers, (k+1)*g.NY/workers)
+			}(k)
+		}
+		wg.Wait()
 	}
 	return nil
 }

@@ -87,7 +87,6 @@ type ADI struct {
 
 	save  []float64 // uⁿ copy for restarting a subdivided attempt
 	rhs0  []float64 // level-1 r = dt·F(uⁿ), kept for ladder reuse
-	rhs   []float64 // per-substep r inside the ladder
 	work  []float64 // sweeps transform r → w₃ in place here
 	prev  []float64 // u(1), then the previous ladder level, for Richardson
 	zeros []float64
@@ -122,14 +121,13 @@ func (a *ADI) Step(g *Grid, s *State, power *Power, dt float64) error {
 	if cap(a.save) < cells {
 		a.save = make([]float64, cells)
 		a.rhs0 = make([]float64, cells)
-		a.rhs = make([]float64, cells)
 		a.work = make([]float64, cells)
 		a.prev = make([]float64, cells)
 	}
 	if cap(a.zeros) < g.NX {
 		a.zeros = make([]float64, g.NX)
 	}
-	save, rhs0, rhs := a.save[:cells], a.rhs0[:cells], a.rhs[:cells]
+	save, rhs0 := a.save[:cells], a.rhs0[:cells]
 	work, prev, zeros := a.work[:cells], a.prev[:cells], a.zeros[:g.NX]
 	a.lp = g.layerPower(power, a.lp)
 	lp := a.lp
@@ -170,16 +168,18 @@ func (a *ADI) Step(g *Grid, s *State, power *Power, dt float64) error {
 			// the RHS is linear in dt, so r(uⁿ, dt/n) = r(uⁿ, dt)/n —
 			// bit-exactly, n being a power of two (scaling by 2⁻ᵏ
 			// commutes with every FP rounding). Scaling the level-1 RHS
-			// skips one rhsRows per level.
+			// skips one rhsRows per level. Each substep builds its RHS in
+			// work and sweeps it in place.
 			k := 1 / float64(n)
-			for i, r := range rhs0 {
-				rhs[i] = r * k
-			}
 			for j := 0; j < n; j++ {
-				if j > 0 {
-					rhsRows(g, s.T, rhs, lp, zeros, sub)
+				if j == 0 {
+					for i, r := range rhs0 {
+						work[i] = r * k
+					}
+				} else {
+					rhsRows(g, s.T, work, lp, zeros, sub)
 				}
-				a.sweepX(g, rhs, work)
+				a.sweepX(g, work, work)
 				a.sweepY(g, work)
 				a.sweepZInto(g, work, s.T, s.T)
 			}
@@ -294,7 +294,9 @@ func thomasInvDen(inv []float64, alpha float64) {
 }
 
 // sweepX solves (I − dt/2·A₁)x = src for every x-line, writing the
-// solution into dst (src is left untouched; dst may not alias src).
+// solution into dst. dst may alias src (the ladder sweeps in place):
+// the forward pass reads each src cell before it writes the same dst
+// cell and reads no src cell after, and the back pass reads only dst.
 // Lines are contiguous NX-cell rows, so both Thomas passes stream
 // memory; the recurrences carry a serial dependency along each row, so
 // four rows of a layer (which share their coefficients) are eliminated

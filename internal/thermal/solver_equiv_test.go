@@ -136,6 +136,79 @@ func TestStepKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// stepRows advances rows [r0, r1) of one explicit substep from cur into
+// a separate next through the production row kernel: the double-buffered
+// form of the substep, which the in-place Explicit.Step must match bit
+// for bit. Global row r is layer r/NY, row r%NY.
+func stepRows(g *Grid, cur, next []float64, power [][]float64, zeros []float64, dt float64, r0, r1 int) {
+	nx, ny, nl := g.NX, g.NY, g.NL
+	plane := nx * ny
+	for r := r0; r < r1; r++ {
+		l, iy := r/ny, r%ny
+		i0 := r * nx
+		c := cur[i0 : i0+nx]
+		nn, ss, dd, uu := c, c, c, c
+		if iy > 0 {
+			nn = cur[i0-nx : i0]
+		}
+		if iy < ny-1 {
+			ss = cur[i0+nx : i0+2*nx]
+		}
+		if l > 0 {
+			dd = cur[i0-plane : i0-plane+nx]
+		}
+		if l < nl-1 {
+			uu = cur[i0+plane : i0+plane+nx]
+		}
+		var pw []float64
+		if power[l] != nil {
+			pw = power[l][iy*nx : iy*nx+nx]
+		}
+		stepRow(g, l, iy, c, nn, ss, dd, uu, pw, zeros, next[i0:i0+nx], dt)
+	}
+}
+
+// TestExplicitInPlaceMatchesDoubleBuffer pins the in-place substep to
+// the double-buffered one bit for bit, on every kernel shape with one to
+// five row bands (a band may be a single row, so both halo rows of a
+// band can come from its neighbours) and power on three layers.
+func TestExplicitInPlaceMatchesDoubleBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, sh := range kernelShapes {
+		g := syntheticGrid(sh.nx, sh.ny, sh.nl, rng)
+		lp := multiLayerPower(g, rng)
+		power := activePower(g, lp)
+		start := randTemps(g.Cells(), rng)
+		dt := 3.5 * g.dtStable
+
+		want := append([]float64(nil), start...)
+		next := make([]float64, len(want))
+		zeros := make([]float64, g.NX)
+		n := int(math.Ceil(dt / g.dtStable))
+		for step := 0; step < 2; step++ {
+			for it := 0; it < n; it++ {
+				stepRows(g, want, next, lp, zeros, dt/float64(n), 0, g.NL*g.NY)
+				want, next = next, want
+			}
+		}
+		for bands := 1; bands <= 5; bands++ {
+			s := &State{T: append([]float64(nil), start...)}
+			e := Explicit{maxWorkers: bands}
+			for step := 0; step < 2; step++ {
+				if err := e.Step(g, s, power, dt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range want {
+				if s.T[i] != want[i] {
+					t.Fatalf("%dx%dx%d, %d bands: cell %d: in place %.17g, double-buffered %.17g",
+						sh.nx, sh.ny, sh.nl, bands, i, s.T[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // refExplicitStep replicates Explicit.Step's substepping with the
 // reference kernel.
 func refExplicitStep(g *Grid, s *State, power *Power, dt float64) {
