@@ -453,6 +453,8 @@ func BenchmarkKernelSteadySolve(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelMLTDField times MaxMLTD, the max-MLTD view of the
+// analysis pass, on a synthetic sine field.
 func BenchmarkKernelMLTDField(b *testing.B) {
 	f := geometry.NewField(46, 31, 0.1)
 	for i := range f.Data {
@@ -462,7 +464,7 @@ func BenchmarkKernelMLTDField(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	analyzer.MaxMLTD(f) // warm the scan's scratch buffers
+	analyzer.MaxMLTD(f) // one untimed pass
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -482,15 +484,15 @@ func sec4aFrame(b *testing.B) *geometry.Field {
 }
 
 // BenchmarkKernelAnalyzePass times the per-frame analysis pass of the
-// record stage: one MLTD scan yielding the max-MLTD and peak-severity
-// samples.
+// record stage: one bound-pruned pass yielding the max-MLTD and
+// peak-severity samples.
 func BenchmarkKernelAnalyzePass(b *testing.B) {
 	f := sec4aFrame(b)
 	analyzer, err := core.NewAnalyzer(f, core.DefaultDefinition())
 	if err != nil {
 		b.Fatal(err)
 	}
-	analyzer.MaxMLTDSeverity(f) // warm the scan's scratch buffers
+	analyzer.MaxMLTDSeverity(f) // one untimed pass
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -119,19 +119,6 @@ func TestMLTDRespectsRadius(t *testing.T) {
 	}
 }
 
-func TestMLTDFieldMatchesPointQueries(t *testing.T) {
-	f := gaussianField(30, 24, 0.1, 55, 42, 4, 40)
-	a := newTestAnalyzer(t, f)
-	mf := a.MLTDField(f)
-	for iy := 0; iy < f.NY; iy += 3 {
-		for ix := 0; ix < f.NX; ix += 3 {
-			if mf.At(ix, iy) != a.MLTDAt(f, ix, iy) {
-				t.Fatalf("MLTDField mismatch at (%d,%d)", ix, iy)
-			}
-		}
-	}
-}
-
 func TestCandidatesAreLocalMaxima(t *testing.T) {
 	f := gaussianField(40, 30, 0.1, 50, 7, 5, 45)
 	a := newTestAnalyzer(t, f)
@@ -318,14 +305,6 @@ func TestMaxSeverityMatchesBruteForce(t *testing.T) {
 	}
 	if got := a.MaxSeverity(f); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("MaxSeverity = %v, want %v", got, want)
-	}
-}
-
-func TestHasHotspotMatchesDetect(t *testing.T) {
-	f := gaussianField(40, 30, 0.1, 62, 11, 5, 55)
-	a := newTestAnalyzer(t, f)
-	if a.HasHotspot(f) != (len(a.Detect(f)) > 0) {
-		t.Fatal("HasHotspot inconsistent with Detect")
 	}
 }
 

@@ -42,33 +42,27 @@ type Hotspot struct {
 }
 
 // Analyzer performs MLTD and hotspot analysis on temperature fields of a
-// fixed geometry. It precomputes the circular neighbourhood stencil once;
-// construct one per (grid shape, definition) pair and reuse it across
-// frames.
+// fixed geometry. It precomputes the circular neighbourhood stencil and
+// the block tiling of the die once; construct one per (grid shape,
+// definition) pair and reuse it across frames.
 //
-// An Analyzer carries reusable scratch buffers for the sliding-window
-// MLTD scan, so a single Analyzer must not be used from concurrent
+// An Analyzer holds the per-block bounds of its current analysis pass
+// (pass.go), so a single Analyzer must not be used from concurrent
 // goroutines; give each worker its own (sim.Run already does).
 type Analyzer struct {
 	def     Definition
 	nx, ny  int
 	offsets []stencilOffset
 
-	// Chord decomposition of the disk stencil for the sliding-window
-	// scan: chord dy covers dx ∈ [-w, w] (dy = 0 excludes dx = 0 and is
-	// handled by one-sided windows of half-width rad).
-	chords []chord
-	widths []int // distinct chord half-widths, indexing scratch.rowMin
-	rad    int   // int(radius/dx): half-width of the dy = 0 chord
-
-	scratch mltdScratch
+	// Blocks of side n = int(Radius/Dx) cells tile the die, bw per row
+	// and bh per column.
+	n, bw, bh int
+	blocks    []block
+	gen       uint64 // the current pass, stamping the blocks it summarized
+	evals     int    // exact disk evaluations of the last pass
 }
 
 type stencilOffset struct{ dx, dy int }
-
-// chord is one horizontal run of the disk stencil: row offset dy,
-// half-width w, and the index of w in Analyzer.widths.
-type chord struct{ dy, w, wIdx int }
 
 // NewAnalyzer builds an analyzer for fields shaped like proto.
 func NewAnalyzer(proto *geometry.Field, def Definition) (*Analyzer, error) {
@@ -94,39 +88,9 @@ func NewAnalyzer(proto *geometry.Field, def Definition) (*Analyzer, error) {
 	if len(a.offsets) == 0 {
 		return nil, fmt.Errorf("core: radius %v mm smaller than one %v mm cell", def.Radius, proto.Dx)
 	}
-	a.buildChords(rCells, n)
+	a.n, a.bw, a.bh = n, (a.nx+n-1)/n, (a.ny+n-1)/n
+	a.blocks = make([]block, a.bw*a.bh)
 	return a, nil
-}
-
-// buildChords derives the row decomposition of the disk stencil used by
-// the sliding-window scan, using the exact membership test of the
-// per-cell stencil so both paths cover identical cell sets.
-func (a *Analyzer) buildChords(rCells float64, n int) {
-	r2 := rCells * rCells
-	widthIdx := map[int]int{}
-	for dy := -n; dy <= n; dy++ {
-		if dy == 0 {
-			a.rad = n // max dx with dx² ≤ r² is int(rCells) itself
-			continue
-		}
-		w := -1
-		for cand := n; cand >= 0; cand-- {
-			if float64(cand*cand+dy*dy) <= r2 {
-				w = cand
-				break
-			}
-		}
-		if w < 0 {
-			continue // row entirely outside the disk
-		}
-		idx, ok := widthIdx[w]
-		if !ok {
-			idx = len(a.widths)
-			widthIdx[w] = idx
-			a.widths = append(a.widths, w)
-		}
-		a.chords = append(a.chords, chord{dy: dy, w: w, wIdx: idx})
-	}
 }
 
 // Definition returns the analyzer's hotspot definition.

@@ -34,39 +34,22 @@ func (a *Analyzer) Candidates(f *geometry.Field) []Hotspot {
 
 // Detect runs the full Fig. 6 detection pipeline: find candidate local
 // maxima, compute MLTD only there, and keep candidates whose temperature
-// and MLTD both exceed the definition thresholds. With few hot
-// candidates the per-cell disk scan is cheapest; when candidates are
-// dense the chord-decomposed sliding-window scan wins, so Detect picks
-// by estimated cost — both paths are bit-equal, so the choice never
-// changes the result.
+// and MLTD both exceed the definition thresholds. A hot candidate gets
+// its exact disk minimum only when T − LB, its block's lower bound from
+// the analysis pass, exceeds MLTD_th: otherwise MLTD ≤ T − LB ≤ MLTD_th
+// already rules it out.
 func (a *Analyzer) Detect(f *geometry.Field) []Hotspot {
 	a.checkShape(f)
-	cands := a.Candidates(f)
-	hot := 0
-	for _, c := range cands {
-		if c.Temp > a.def.TempThreshold {
-			hot++
-		}
-	}
-	if hot == 0 {
-		return nil
-	}
-	// Reference path: ~len(offsets) disk cells per hot candidate.
-	// Sliding scan: ~(chords + width passes + combine) ops per die cell.
-	var scan []float64
-	if hot*len(a.offsets) > a.nx*a.ny*(len(a.chords)+len(a.widths)+3) {
-		scan = a.mltdScan(f)
-	}
 	var out []Hotspot
-	for _, c := range cands {
+	a.gen++
+	for _, c := range a.Candidates(f) {
 		if c.Temp <= a.def.TempThreshold {
 			continue
 		}
-		if scan != nil {
-			c.MLTD = scan[c.IY*a.nx+c.IX]
-		} else {
-			c.MLTD = a.MLTDAt(f, c.IX, c.IY)
+		if !(c.Temp-a.lowerBound(f.Data, c.IX/a.n, c.IY/a.n) > a.def.MLTDThreshold) {
+			continue
 		}
+		c.MLTD = a.mltdAt(f.Data, c.IX, c.IY)
 		if c.MLTD > a.def.MLTDThreshold {
 			out = append(out, c)
 		}
@@ -96,11 +79,4 @@ func (a *Analyzer) DetectNaive(f *geometry.Field) []Hotspot {
 		}
 	}
 	return out
-}
-
-// HasHotspot reports whether the frame contains at least one hotspot
-// according to the candidate-based detector — the predicate the
-// time-until-hotspot (TUH) metric is built on.
-func (a *Analyzer) HasHotspot(f *geometry.Field) bool {
-	return len(a.Detect(f)) > 0
 }

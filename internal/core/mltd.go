@@ -13,14 +13,20 @@ import (
 // it to time against).
 func (a *Analyzer) MLTDAt(f *geometry.Field, ix, iy int) float64 {
 	a.checkShape(f)
-	t := f.At(ix, iy)
+	return a.mltdAt(f.Data, ix, iy)
+}
+
+// mltdAt is MLTDAt on a field already checked against the analyzer's
+// shape: the one exact disk evaluation every caller shares.
+func (a *Analyzer) mltdAt(data []float64, ix, iy int) float64 {
+	t := data[iy*a.nx+ix]
 	minN := math.Inf(1)
 	for _, o := range a.offsets {
 		jx, jy := ix+o.dx, iy+o.dy
 		if jx < 0 || jx >= a.nx || jy < 0 || jy >= a.ny {
 			continue
 		}
-		if v := f.At(jx, jy); v < minN {
+		if v := data[jy*a.nx+jx]; v < minN {
 			minN = v
 		}
 	}
@@ -30,25 +36,11 @@ func (a *Analyzer) MLTDAt(f *geometry.Field, ix, iy int) float64 {
 	return t - minN
 }
 
-// MLTDField computes the MLTD at every cell via the sliding-window scan
-// (mltd_fast.go); the result is bit-equal to evaluating MLTDAt per cell.
-func (a *Analyzer) MLTDField(f *geometry.Field) *geometry.Field {
-	m := a.mltdScan(f)
-	out := geometry.NewField(f.NX, f.NY, f.Dx)
-	copy(out.Data, m)
-	return out
-}
-
-// MaxMLTD returns the maximum MLTD over the whole die — the Fig. 9
-// time-series quantity. Allocation-free after the analyzer's first scan.
-// MaxMLTDSeverity returns the same value alongside the peak severity
-// from the same scan.
+// MaxMLTD returns the maximum MLTD over the whole die, and 0 when no
+// cell's MLTD is positive: the Fig. 9 time-series quantity. It is the
+// MLTD half of MaxMLTDSeverity's pass, pruned for MLTD alone, and
+// allocates nothing.
 func (a *Analyzer) MaxMLTD(f *geometry.Field) float64 {
-	best := 0.0
-	for _, v := range a.mltdScan(f) {
-		if v > best {
-			best = v
-		}
-	}
-	return best
+	mltd, _ := a.pass(f, a.die(), true, false)
+	return mltd
 }

@@ -12,8 +12,8 @@ import (
 // Equivalence tests for the per-frame analysis pass (pass.go): the fused
 // MaxMLTDSeverity and its two views against the per-cell definition —
 // MLTDAt and Severity evaluated at every cell — compared exactly (==).
-// The severity cuts skip cells only where the bound proves they cannot
-// reach the maximum, so pruning must never change a bit of the result.
+// The block bounds skip cells only where they prove a cell cannot reach
+// a maximum, so pruning must never change a bit of the result.
 
 // referencePass is the per-cell definition of one frame's samples.
 func referencePass(a *Analyzer, f *geometry.Field) (mltd, sev float64) {
@@ -101,100 +101,206 @@ func TestAnalyzePassPlateausAndTies(t *testing.T) {
 	}
 }
 
-// The cut boundary itself: cells placed exactly on, one ulp above and
-// one ulp below mCut and tCut. The extremes and the seed cells are fixed,
-// so the cuts the pass computes are the ones the test placed cells on.
+// On a cold field every severity bound sits below 0, so once the seeds
+// hold the best (0) nothing else is evaluated; on a flat one the MLTD
+// bounds are 0 too, and the three seeds are one cell.
+func TestAnalyzePassColdFieldEvaluatesOnlySeeds(t *testing.T) {
+	flat := geometry.NewField(46, 31, 0.1)
+	flat.Fill(40)
+	a := newRadiusAnalyzer(t, flat, 1.0)
+	if m, s := a.MaxMLTDSeverity(flat); m != 0 || s != 0 || a.evals != 1 {
+		t.Fatalf("flat field: (%v, %v) from %d exact evaluations, want (0, 0) from the one seed", m, s, a.evals)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		cold := gaussianField(46, 31, 0.1, 40, seed, 3, 0.5)
+		a := newRadiusAnalyzer(t, cold, 1.0)
+		if s := a.MaxSeverity(cold); s != 0 || a.evals > 2 {
+			t.Fatalf("seed %d: cold field severity %v from %d exact evaluations, want 0 from at most the 2 seeds",
+				seed, s, a.evals)
+		}
+	}
+}
+
+// edgeBg is the background temperature of edgeDie.
+const edgeBg = 50.0
+
+// edgeDie is a die of one row of 3×3-cell blocks at edgeBg: 0.5 mm cells
+// and a 1.5 mm radius make n = 3, so a disk reaches exactly one block
+// sideways and every cell of a block lies in the disk of every other.
+func edgeDie(t *testing.T, blocks int) (*geometry.Field, *Analyzer) {
+	t.Helper()
+	f := geometry.NewField(3*blocks, 3, 0.5)
+	f.Fill(edgeBg)
+	return f, newRadiusAnalyzer(t, f, 1.5)
+}
+
+// coldEdge bisects for the highest cold temperature c with
+// severityBound(t, t−c) ≥ u: the bound falls as c rises.
+func coldEdge(t, u float64) float64 {
+	lo, hi := t-80, t-20
+	for i := 0; i < 200; i++ {
+		if mid := lo/2 + hi/2; severityBound(t, t-mid) >= u {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// coldFor returns a cold temperature c with severityBound(t, t−c) == u
+// exactly, searching the floats around coldEdge; some u are not hit by
+// any c.
+func coldFor(t, u float64) (float64, bool) {
+	up, down := coldEdge(t, u), coldEdge(t, u)
+	for k := 0; k < 400; k++ {
+		if severityBound(t, t-up) == u {
+			return up, true
+		}
+		if severityBound(t, t-down) == u {
+			return down, true
+		}
+		up, down = math.Nextafter(up, math.Inf(1)), math.Nextafter(down, math.Inf(-1))
+	}
+	return 0, false
+}
+
+// The edge of the severity bound: three cells whose U sits exactly at
+// best − δ, one ulp above it and one ulp below it. Each cell's disk holds
+// its block neighbourhood's minimum, so its severity equals its U, and
+// its block's bound equals it too. The hottest cell S is the only seed
+// and the best. The cells at and above the edge must be evaluated, the
+// one below it skipped, and no other cell can pass.
 func TestSeverityCutBoundaryTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 64
-		temps, m := make([]float64, n), make([]float64, n)
-		tMin, tMax := 40+40*rng.Float64(), 85+30*rng.Float64()
-		mMin, mMax := -5*rng.Float64(), 10+30*rng.Float64()
-		// Cells 0..3 pin the extremes and the two seeds.
-		temps[0], m[0] = tMax, mMin
-		temps[1], m[1] = tMin, mMax
-		temps[2], m[2] = tMin, mMin
-		temps[3], m[3] = tMin, mMin
-		best := math.Max(Severity(temps[0], m[0]), Severity(temps[1], m[1]))
-		mCut, tCut, prune := severityCuts(tMin, tMax, mMin, mMax, best)
-		for i := 4; i < n; i++ {
-			temps[i] = tMin + (tMax-tMin)*rng.Float64()
-			m[i] = mMin + (mMax-mMin)*rng.Float64()
-			if prune {
-				if rng.Intn(2) == 0 && !math.IsInf(tCut, -1) {
-					temps[i] = math.Nextafter(tCut, []float64{tCut, math.Inf(1), math.Inf(-1)}[rng.Intn(3)])
-				}
-				if rng.Intn(2) == 0 && !math.IsInf(mCut, -1) {
-					m[i] = math.Nextafter(mCut, []float64{mCut, math.Inf(1), math.Inf(-1)}[rng.Intn(3)])
-				}
-				temps[i] = math.Min(math.Max(temps[i], tMin), tMax)
-				m[i] = math.Min(math.Max(m[i], mMin), mMax)
+	for trial := 0; trial < 50; trial++ {
+		f, a := edgeDie(t, 12)
+		tS := 85 + 10*rng.Float64()
+		f.Set(4, 1, tS)
+		f.Set(3, 1, tS-45)
+		best := Severity(tS, tS-(tS-45))
+		edge := best - boundMargin
+		for k, u := range []float64{math.Nextafter(edge, -1), edge, math.Nextafter(edge, 2)} {
+			// U moves in steps of a few ulps as c varies, so each cell
+			// draws its own temperature until one hits u exactly.
+			tX, c, ok := 0.0, 0.0, false
+			for attempt := 0; attempt < 200 && !ok; attempt++ {
+				tX = tS - 0.1*rng.Float64()
+				c, ok = coldFor(tX, u)
 			}
-		}
-		want := 0.0
-		for i := range temps {
-			if s := Severity(temps[i], m[i]); s > want {
-				want = s
+			if !ok {
+				t.Fatalf("trial %d: no cell puts U at %.17g", trial, u)
 			}
+			bx := 4 + 3*k
+			f.Set(3*bx+1, 1, tX)
+			f.Set(3*bx, 1, c)
 		}
-		if _, got := maxMLTDSeverity(temps, m); got != want {
-			t.Fatalf("trial %d: pruned severity %.17g != reference %.17g (cuts m %v, T %v)",
-				trial, got, want, mCut, tCut)
+		checkPass(t, a, f, "edge")
+		if got := a.MaxSeverity(f); got != best {
+			t.Fatalf("trial %d: MaxSeverity %.17g, want the seed's %.17g", trial, got, best)
+		}
+		if a.evals != 3 {
+			t.Fatalf("trial %d: %d exact evaluations, want 3 (the seed, the cells at and above the edge)", trial, a.evals)
 		}
 	}
 }
 
-// The winner just above a cut: a seed cell sets the cut a hair below
-// itself, and the true maximum sits one small step past the seed along
-// the cut axis, so a cut placed even slightly too high would skip it.
+// The winner just above the edge: W's severity beats the best by less
+// than δ. W is not a seed: the hotter cell H of W's block is (its block
+// has the largest bound), but H's disk misses the cold cell next to W
+// and is kept warm, so only W can win. A bound compared the wrong way round, or with δ
+// added instead of taken off, would skip W.
 func TestSeverityWinnerJustAboveCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		tMin, tMax := 45+10*rng.Float64(), 85+25*rng.Float64()
-		mMin, mMax := -2*rng.Float64(), 30+10*rng.Float64()
-		m0, t0 := 10+15*rng.Float64(), 60+20*rng.Float64()
-		// Seeds: (tMax, m0) is the hottest cell and (t0, mMax) the
-		// highest-MLTD one; the winners step past them by 0.01 in the
-		// cut axis and 1e-7 back in the other.
-		temps := []float64{tMax, t0, tMin, tMax - 1e-7, t0 + 0.01}
-		m := []float64{m0, mMax, mMin, m0 + 0.01, mMax - 1e-7}
-		for i := 0; i < 32; i++ {
-			temps = append(temps, tMin+(t0-tMin)*rng.Float64())
-			m = append(m, mMin+(m0-mMin)*rng.Float64())
-		}
-		want := 0.0
-		for i := range temps {
-			if s := Severity(temps[i], m[i]); s > want {
-				want = s
+	for trial := 0; trial < 50; trial++ {
+		f, a := edgeDie(t, 6)
+		tS := 85 + 5*rng.Float64() // S's cold cell stays below edgeBg
+		f.Set(4, 1, tS)
+		f.Set(3, 1, tS-40)
+		best := Severity(tS, tS-(tS-40))
+		tW := tS - 0.1*rng.Float64()
+		c := coldEdge(tW, best+1e-12*(1+rng.Float64()))
+		for x := 10; x <= 17; x++ { // H's disk, kept warm
+			for y := 0; y < 3; y++ {
+				f.Set(x, y, tW-5)
 			}
 		}
-		if _, got := maxMLTDSeverity(temps, m); got != want {
-			t.Fatalf("trial %d: pruned severity %.17g != reference %.17g", trial, got, want)
+		f.Set(12, 1, tW)     // W: the left column of block 4
+		f.Set(9, 1, c)       // three cells left of W, in block 3
+		f.Set(14, 1, tW+.05) // H: five cells right of the cold cell
+		want := checkPass(t, a, f, "winner")
+		if !(want > best && want < best+boundMargin) {
+			t.Fatalf("trial %d: reference %.17g is not just above the seed's %.17g", trial, want, best)
 		}
 	}
 }
 
-// The bound the cuts rely on: U(T, m) ≥ sev(T, m), and U does not
-// decrease in either argument.
+// The MLTD edge: T − LB equal to the best exactly is skipped (a maximum
+// moves only on >), and a winner one ulp above it is found although the
+// block's hotter cell, not the winner, is the bound seed.
+func TestMLTDBoundEdge(t *testing.T) {
+	f, a := edgeDie(t, 9)
+	tS := 90.0
+	f.Set(4, 1, tS)
+	f.Set(3, 1, tS-45)
+	best := tS - (tS - 45)
+	f.Set(13, 1, 80) // E in block 4: T − LB == best
+	f.Set(12, 1, 80-best)
+	if 80-(80-best) != best {
+		t.Fatal("tie cell misplaced")
+	}
+	wm := math.Nextafter(best, math.Inf(1))
+	tW := 85.0
+	f.Set(21, 1, tW) // W: the left column of block 7, its cold cell in block 6
+	f.Set(18, 1, tW-wm)
+	f.Set(23, 1, tW+1) // H: hotter, its disk misses the cold cell
+	wantM := tW - (tW - wm)
+	if !(wantM > best) {
+		t.Fatal("winner misplaced")
+	}
+	if got := a.MaxMLTD(f); got != wantM {
+		t.Fatalf("MaxMLTD %.17g, want %.17g", got, wantM)
+	}
+	if a.evals != 3 {
+		t.Fatalf("%d exact evaluations, want 3 (the seeds S and H, then W)", a.evals)
+	}
+	checkPass(t, a, f, "mltd edge")
+}
+
+// The bounds the pass relies on, over random arguments, against
+// Equation 2 before clipping: the cell bound U(T, M) is at least
+// σ_df(T) + σ_M(m)·σ_T(T) for every m ≤ M and does not decrease in M,
+// and a block's bound is at least that for every T in the block's range
+// and m ≤ T_max − LB, including blocks where σ_M(T_max − LB) < 0.
 func TestSeverityBoundDominatesAndIsMonotone(t *testing.T) {
+	raw := func(t, m float64) float64 { return SigmaDF(t) + SigmaM(m)*SigmaT(t) }
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 20000; i++ {
 		tt, m := 20+120*rng.Float64(), -10+60*rng.Float64()
 		u := severityBound(tt, m)
-		if s := Severity(tt, m); s > u {
-			t.Fatalf("sev(%v, %v) = %.17g above its bound %.17g", tt, m, s, u)
+		if s := raw(tt, m-5*rng.Float64()); s > u {
+			t.Fatalf("Equation 2 at (%v, ≤%v) = %.17g above its bound %.17g", tt, m, s, u)
 		}
-		dt, dm := 5*rng.Float64(), 5*rng.Float64()
-		if severityBound(tt+dt, m) < u-cutMargin || severityBound(tt, m+dm) < u-cutMargin {
-			t.Fatalf("bound decreases near (%v, %v)", tt, m)
+		if severityBound(tt, m+5*rng.Float64()) < u-boundMargin {
+			t.Fatalf("bound decreases in M near (%v, %v)", tt, m)
+		}
+		spread := []float64{2, 10, 60}[i%3]
+		b := block{min: 20 + 100*rng.Float64()}
+		b.max = b.min + spread*rng.Float64()
+		b.lb = b.min - spread*rng.Float64()
+		ub := b.severityBound()
+		cell := b.min + (b.max-b.min)*rng.Float64()
+		if s := raw(cell, cell-b.lb-spread*rng.Float64()); s > ub {
+			t.Fatalf("Equation 2 at %v in block [%v, %v] with LB %v = %.17g above the block bound %.17g",
+				cell, b.min, b.max, b.lb, s, ub)
 		}
 	}
 }
 
 // analyzePassField decodes fuzz bytes into a field: two bytes per cell
 // give a temperature quantized to 1/2 °C between 20 and about 150 °C,
-// so plateaus and ties are common.
+// so plateaus and ties are common, or one of NaN, +Inf and −Inf, which
+// no solver produces but the pass must still handle as MLTDAt does.
 func analyzePassField(nx, ny uint8, data []byte) *geometry.Field {
 	f := geometry.NewField(1+int(nx)%24, 1+int(ny)%24, 0.1)
 	for i := range f.Data {
@@ -202,7 +308,16 @@ func analyzePassField(nx, ny uint8, data []byte) *geometry.Field {
 		if 2*i+1 < len(data) {
 			v = binary.LittleEndian.Uint16(data[2*i:])
 		}
-		f.Data[i] = 20 + float64(v%260)/2
+		switch v %= 263; v {
+		case 260:
+			f.Data[i] = math.NaN()
+		case 261:
+			f.Data[i] = math.Inf(1)
+		case 262:
+			f.Data[i] = math.Inf(-1)
+		default:
+			f.Data[i] = 20 + float64(v)/2
+		}
 	}
 	return f
 }
@@ -211,8 +326,11 @@ func FuzzAnalyzePass(f *testing.F) {
 	f.Add(uint8(10), uint8(8), uint8(3), []byte{0, 1, 2, 3, 200, 0, 1, 1, 7, 0, 8, 1})
 	f.Add(uint8(23), uint8(23), uint8(9), []byte{255, 255, 0, 0, 255, 255})
 	f.Add(uint8(0), uint8(30), uint8(1), []byte{100, 0, 180, 0, 230, 0, 50, 0})
+	f.Add(uint8(6), uint8(5), uint8(2), []byte{4, 1, 0, 1, 5, 1, 6, 1, 200, 0, 4, 1, 5, 1, 120, 0})
 	f.Fuzz(func(t *testing.T, nx, ny, rad uint8, data []byte) {
 		field := analyzePassField(nx, ny, data)
-		checkPass(t, newRadiusAnalyzer(t, field, 0.1*float64(1+rad%12)), field, "fuzz")
+		a := newRadiusAnalyzer(t, field, 0.1*float64(1+rad%12))
+		checkPass(t, a, field, "fuzz")
+		checkDetect(t, a, field, "fuzz")
 	})
 }

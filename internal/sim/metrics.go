@@ -24,10 +24,11 @@ const (
 	// MetricStageDetect covers hotspot detection.
 	MetricStageDetect = StagePrefix + "detect"
 	// MetricStageRecord covers controller steering and per-step series
-	// recording: the frame's one analysis pass (a single MLTD scan
-	// yielding the max-MLTD and cut-pruned peak-severity samples, plus
-	// one per extra die for per-die severity), temperature percentiles
-	// by selection, cell deltas and frame samples.
+	// recording: the frame's one analysis pass (block bounds, then exact
+	// disk minima only where a bound can still beat the max-MLTD or
+	// peak-severity sample, plus one pass per extra die for per-die
+	// severity and one per unit for unit severity), temperature
+	// percentiles by selection, cell deltas and frame samples.
 	MetricStageRecord = StagePrefix + "record"
 
 	// MetricRuns counts completed Run invocations.

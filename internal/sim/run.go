@@ -376,7 +376,7 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 			res.Power = append(res.Power, pr.TotalPower())
 		}
 		res.IPC = append(res.IPC, act.Counters.IPC())
-		// One MLTD scan yields both the MLTD and severity samples.
+		// One analysis pass yields both the MLTD and severity samples.
 		var sev float64
 		switch {
 		case cfg.Record.MLTD && cfg.Record.Severity:
@@ -643,27 +643,20 @@ func scaleActivity(a perf.Activity, k float64) perf.Activity {
 
 // unitSeverity evaluates the unit-local hotspot severity: the maximum of
 // sev(T, MLTD) over the central region of the unit (the central half in
-// each dimension). The central region is where the unit's own switching
-// power concentrates; edge cells mostly report the neighbours'
-// temperature, which would mask the effect of scaling the unit itself.
+// each dimension), from the analysis pass restricted to that region's
+// cells. The central region is where the unit's own switching power
+// concentrates; edge cells mostly report the neighbours' temperature,
+// which would mask the effect of scaling the unit itself.
 func unitSeverity(fp *floorplan.Floorplan, analyzer *core.Analyzer, field *geometry.Field, name string) float64 {
 	u, ok := fp.Unit(name)
 	if !ok {
 		return 0
 	}
-	best := 0.0
 	r := u.Rect.ScaledAbout(0.5)
 	if r.W < field.Dx || r.H < field.Dx {
 		r = u.Rect // tiny units: use the whole rect
 	}
 	ix0, iy0, _ := field.CellAt(r.X+1e-9, r.Y+1e-9)
 	ix1, iy1, _ := field.CellAt(r.MaxX()-1e-9, r.MaxY()-1e-9)
-	for iy := max(iy0, 0); iy <= min(iy1, field.NY-1); iy++ {
-		for ix := max(ix0, 0); ix <= min(ix1, field.NX-1); ix++ {
-			if s := core.Severity(field.At(ix, iy), analyzer.MLTDAt(field, ix, iy)); s > best {
-				best = s
-			}
-		}
-	}
-	return best
+	return analyzer.MaxSeverityIn(field, ix0, iy0, ix1, iy1)
 }

@@ -6,6 +6,7 @@ import (
 
 	"hotgauge/internal/core"
 	"hotgauge/internal/floorplan"
+	"hotgauge/internal/geometry"
 	"hotgauge/internal/perf"
 	"hotgauge/internal/tech"
 	"hotgauge/internal/thermal"
@@ -518,5 +519,75 @@ func TestUnitSeverityRecording(t *testing.T) {
 	bad.Record.UnitSeverity = []string{"nope"}
 	if _, err := Run(bad); err == nil {
 		t.Fatal("unknown unit name accepted")
+	}
+}
+
+// referenceUnitSeverity is the per-cell loop unitSeverity ran before it
+// went through the analysis pass: Severity(T, MLTDAt) at every cell of
+// the unit's central region.
+func referenceUnitSeverity(fp *floorplan.Floorplan, analyzer *core.Analyzer, field *geometry.Field, name string) float64 {
+	u, ok := fp.Unit(name)
+	if !ok {
+		return 0
+	}
+	best := 0.0
+	r := u.Rect.ScaledAbout(0.5)
+	if r.W < field.Dx || r.H < field.Dx {
+		r = u.Rect
+	}
+	ix0, iy0, _ := field.CellAt(r.X+1e-9, r.Y+1e-9)
+	ix1, iy1, _ := field.CellAt(r.MaxX()-1e-9, r.MaxY()-1e-9)
+	for iy := max(iy0, 0); iy <= min(iy1, field.NY-1); iy++ {
+		for ix := max(ix0, 0); ix <= min(ix1, field.NX-1); ix++ {
+			if s := core.Severity(field.At(ix, iy), analyzer.MLTDAt(field, ix, iy)); s > best {
+				best = s
+			}
+		}
+	}
+	return best
+}
+
+// The unit-local severity of the mitigation experiment (Fig. 13): its two
+// units on recorded 7 nm frames, the baseline and the fpIWin ×10 variant,
+// against the per-cell loop, compared exactly; the recorded series must
+// hold the same values at the recorded steps.
+func TestUnitSeverityMatchesPerCellLoop(t *testing.T) {
+	units := []string{"core0.fpIWin", "core0.fpRF"}
+	for _, scale := range []map[floorplan.Kind]float64{nil, {floorplan.KindFpIWin: 10}} {
+		p, err := workload.Lookup("gcc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Floorplan: floorplan.Config{Node: tech.Node7, KindScale: scale},
+			Workload:  p,
+			Warmup:    WarmupIdle,
+			Steps:     30,
+			Solver:    &thermal.ADI{},
+			Record:    RecordOptions{FieldEvery: 10, UnitSeverity: units},
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := floorplan.New(cfg.Floorplan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.NewAnalyzer(res.Fields[0], core.DefaultDefinition())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range res.Fields {
+			for _, name := range units {
+				want := referenceUnitSeverity(fp, a, f, name)
+				if got := unitSeverity(fp, a, f, name); got != want {
+					t.Fatalf("scale %v frame %d %s: unitSeverity %.17g != per-cell loop %.17g", scale, i, name, got, want)
+				}
+				if got := res.UnitSeverity[name][res.FieldSteps[i]]; got != want {
+					t.Fatalf("scale %v frame %d %s: recorded %.17g != per-cell loop %.17g", scale, i, name, got, want)
+				}
+			}
+		}
 	}
 }
