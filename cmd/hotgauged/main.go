@@ -52,7 +52,7 @@ func main() {
 	queue := flag.Int("queue", 16, "job queue capacity (full queue returns 429)")
 	workers := flag.Int("workers", 1, "jobs executed concurrently")
 	runWorkers := flag.Int("run-workers", 0, "runs simulated at once, daemon-wide (0 = GOMAXPROCS)")
-	cacheMB := flag.Int("cache-mb", 64, "result cache budget in MiB")
+	cacheMB := flag.Int("cache-mb", 64, "in-memory result cache budget in MiB (unused with -data-dir)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline for in-flight jobs")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run wall-time limit; an exceeding run fails alone (0 = unlimited)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-time limit from execution start (0 = unlimited)")

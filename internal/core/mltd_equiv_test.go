@@ -114,3 +114,16 @@ func TestMLTDScanNoAllocsAfterWarmup(t *testing.T) {
 		t.Fatalf("the analysis pass allocates %v objects per frame", allocs)
 	}
 }
+
+// TestDetectNoAllocsOnHotFrame: Detect scans a frame in place, so a
+// frame hot everywhere but without a hotspot allocates nothing.
+func TestDetectNoAllocsOnHotFrame(t *testing.T) {
+	f := gaussianField(46, 31, 0.1, 95, 13, 5, 10)
+	a := newRadiusAnalyzer(t, f, 1.0)
+	if hs := a.Detect(f); len(hs) != 0 {
+		t.Fatalf("frame has %d hotspots, want none", len(hs))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.Detect(f) }); allocs != 0 {
+		t.Fatalf("Detect allocates %v objects on a hot frame without hotspots", allocs)
+	}
+}

@@ -7,12 +7,13 @@ import (
 	"hotgauge/internal/obs"
 )
 
-// resultCache is the content-addressed result store: canonical config
+// resultCache is an in-memory daemon's result home: canonical config
 // hash → marshaled result bytes, bounded by a total byte budget with
 // LRU eviction. Stored byte slices are treated as immutable by both
 // sides — Put hands ownership to the cache, Get hands out the same
 // slice to be written verbatim into responses, which is what makes a
-// cache hit byte-identical to the original response.
+// cache hit byte-identical to the original response. Hits and misses
+// are counted by the callers that decide them, not here.
 type resultCache struct {
 	mu      sync.Mutex
 	budget  int64
@@ -20,8 +21,8 @@ type resultCache struct {
 	ll      *list.List // front = most recently used
 	entries map[string]*list.Element
 
-	hits, misses, evictions *obs.Counter
-	bytesG, entriesG        *obs.Gauge
+	evictions        *obs.Counter
+	bytesG, entriesG *obs.Gauge
 }
 
 type cacheEntry struct {
@@ -37,8 +38,6 @@ func newResultCache(budget int64, reg *obs.Registry) *resultCache {
 		budget:    budget,
 		ll:        list.New(),
 		entries:   map[string]*list.Element{},
-		hits:      reg.Counter(MetricCacheHits),
-		misses:    reg.Counter(MetricCacheMisses),
 		evictions: reg.Counter(MetricCacheEvictions),
 		bytesG:    reg.Gauge(MetricCacheBytes),
 		entriesG:  reg.Gauge(MetricCacheEntries),
@@ -51,11 +50,9 @@ func (c *resultCache) Get(key string) ([]byte, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses.Inc()
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits.Inc()
 	return el.Value.(*cacheEntry).data, true
 }
 

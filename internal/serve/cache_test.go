@@ -56,21 +56,35 @@ func TestCacheOversizedAndReplace(t *testing.T) {
 	}
 }
 
+// TestCacheCounters checks the LRU's footprint gauge, and that cache
+// hits and misses are counted where the daemon decides them — once per
+// run in a job's cache pass, the same with or without a result store —
+// and never by reading a result back.
 func TestCacheCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newResultCache(1000, reg)
 	c.Put("k", []byte("v"))
-	c.Get("k")
-	c.Get("k")
-	c.Get("nope")
-	if h := reg.Counter(MetricCacheHits).Value(); h != 2 {
-		t.Fatalf("hits = %d, want 2", h)
-	}
-	if m := reg.Counter(MetricCacheMisses).Value(); m != 1 {
-		t.Fatalf("misses = %d, want 1", m)
-	}
 	if b := reg.Gauge(MetricCacheBytes).Value(); b != 1 {
 		t.Fatalf("bytes gauge = %v, want 1", b)
+	}
+
+	for name, dataDir := range map[string]string{"in-memory": "", "durable": t.TempDir()} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			_, ts := newTestServer(t, Options{Registry: reg, DataDir: dataDir})
+			first := submit(t, ts, tinySpec(7, 2))
+			streamEvents(t, ts, first.ID)
+			second := submit(t, ts, tinySpec(7, 2), tinySpec(14, 2))
+			streamEvents(t, ts, second.ID)
+			getBody(t, ts, "/jobs/"+first.ID+"/results/0")
+			getBody(t, ts, "/jobs/"+second.ID+"/results")
+			if h := reg.Counter(MetricCacheHits).Value(); h != 1 {
+				t.Fatalf("hits = %d, want 1", h)
+			}
+			if m := reg.Counter(MetricCacheMisses).Value(); m != 2 {
+				t.Fatalf("misses = %d, want 2", m)
+			}
+		})
 	}
 }
 

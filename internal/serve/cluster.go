@@ -139,11 +139,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // simulate is the daemon's one way to execute a run, and the
 // coordinator's local executor as it stands. It decodes the dispatched
 // spec, checks its content hash, attaches the checkpointer, applies
-// wrapCfg, runs it under the per-run deadline with retry and explicit
-// fallback, and marshals the RunView payload. It touches no cache, store
-// or journal: the job's gather callback (executeMisses) records the
-// result on the daemon that owns the job, and the worker half wraps it
-// with its own store (executeForCoordinator).
+// wrapCfg, runs it under the per-run deadline with retry (a diverging
+// run retries on ADI), and marshals the RunView payload. It touches no
+// result home or journal: the job's gather callback (executeMisses)
+// keeps the result on the daemon that owns the job, and the worker half
+// wraps it with its own (executeForCoordinator).
 func (s *Server) simulate(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
 	var spec ConfigSpec
 	if err := json.Unmarshal(run.Spec, &spec); err != nil {
@@ -174,32 +174,35 @@ func (s *Server) simulate(ctx context.Context, run sim.RemoteRun) ([]byte, error
 	return json.Marshal(newRunView(spec, h, res))
 }
 
-// executeForCoordinator is the worker half's executor. A worker serves
-// its own store: it answers from its cache when it can, and otherwise
-// simulates and caches + persists the payload before returning it, so
-// the run's bytes are durable here before the coordinator resolves it.
+// executeForCoordinator is the worker half's executor. A worker answers
+// from its own result home when it can, and otherwise simulates and
+// keeps the payload there before returning it. The coordinator's daemon
+// decides whether the run is done, so a failed keep here (counted in
+// serve/store_errors) still returns the payload.
 func (s *Server) executeForCoordinator(ctx context.Context, run sim.RemoteRun) ([]byte, error) {
 	if data, ok := s.lookupResult(run.Hash); ok {
+		s.mCacheHits.Inc()
 		s.mCached.Inc()
 		return data, nil
 	}
+	s.mCacheMisses.Inc()
 	payload, err := s.simulate(ctx, run)
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Put(run.Hash, payload)
-	s.persistResult(run.Hash, payload)
+	_ = s.keepResult(run.Hash, payload)
 	return payload, nil
 }
 
 // executeMisses sends a job's cache-missing runs through the
 // coordinator — to live cluster workers, or with none alive to the
 // daemon's own executor under its RunWorkers bound — and gathers each
-// outcome into the job. A payload is cached and persisted before its
-// run record is journaled, so replay never claims bytes it lost, and a
-// failure lands on its run alone (runFailed). audits carries the
-// audit-selected triage decisions, scored here from the gathered
-// payloads so workers need not hold the model.
+// outcome into the job. A payload is kept before its run record is
+// journaled, and a run whose payload cannot be kept fails, so replay
+// never claims bytes it lost. A failure lands on its run alone
+// (runFailed). audits carries the audit-selected triage decisions,
+// scored here from the gathered payloads so workers need not hold the
+// model.
 func (s *Server) executeMisses(ctx context.Context, j *Job, missIdx []int, audits map[int]sim.TriageDecision) {
 	runs := make([]sim.RemoteRun, len(missIdx))
 	for k, i := range missIdx {
@@ -210,6 +213,9 @@ func (s *Server) executeMisses(ctx context.Context, j *Job, missIdx []int, audit
 	}
 	_ = s.coord.Execute(ctx, runs, func(k int, payload []byte, err error) {
 		i := missIdx[k]
+		if err == nil {
+			err = s.keepResult(j.hashes[i], payload)
+		}
 		if err != nil {
 			s.runFailed(j, i, err)
 			return
@@ -224,9 +230,7 @@ func (s *Server) executeMisses(ctx context.Context, j *Job, missIdx []int, audit
 				}
 			}
 		}
-		s.cache.Put(j.hashes[i], payload)
-		s.persistResult(j.hashes[i], payload)
-		j.setRunDone(i, payload)
+		j.setRunDone(i)
 		s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i, State: RunDone})
 	})
 }

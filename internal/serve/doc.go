@@ -8,10 +8,14 @@
 // The subsystem is built from three pieces: a bounded job queue with
 // explicit backpressure (HTTP 429 + Retry-After when full), a worker
 // pool that executes jobs with per-job cancellation, and a
-// content-addressed result cache — the canonical hash of each normalized
-// sim.Config (Config.Hash) addresses its marshaled result under an LRU
-// byte budget, so resubmitted configs are served byte-identically
-// without re-simulation. A job's cache misses take one execution path
+// content-addressed result home — the canonical hash of each normalized
+// sim.Config (Config.Hash) addresses its marshaled result, so
+// resubmitted configs are served byte-identically without
+// re-simulation. A daemon keeps each result's bytes in one place, picked
+// in New: the on-disk result store with Options.DataDir, an LRU under
+// Options.CacheBytes otherwise. Jobs keep run states and hashes only,
+// so an in-memory daemon serves a finished job's result only while its
+// LRU holds the bytes. A job's cache misses take one execution path
 // whatever the topology: they go through the daemon's cluster
 // coordinator, which shards them across joined workers or, with none
 // alive, simulates them on its local executor under the RunWorkers

@@ -89,8 +89,8 @@ type replayJob struct {
 }
 
 // recoverJournal replays the journal into the job table: terminal jobs
-// are restored read-only (results rehydrate lazily from the result
-// store), jobs that were queued or in-flight at the crash are rebuilt
+// are restored read-only (their results are read from the result store),
+// jobs that were queued or in-flight at the crash are rebuilt
 // and returned for requeueing (their already-persisted runs will be
 // served from the result store by the cache pass, so completed work is
 // neither lost nor repeated), and the journal is compacted to the
@@ -231,55 +231,47 @@ func (s *Server) recoverJournal() (requeue []*Job, err error) {
 	return requeue, nil
 }
 
-// lookupResult resolves a config hash to its result payload: the
-// in-memory LRU first, then the on-disk result store, repopulating the
-// LRU on a disk hit so the bytes keep being served verbatim.
+// lookupResult reads a result payload by config hash from the daemon's
+// one result home, picked in New: the on-disk result store when durable,
+// the CacheBytes LRU otherwise. It counts nothing but store errors; the
+// callers that decide hit or miss count it.
 func (s *Server) lookupResult(hash string) ([]byte, bool) {
-	if data, ok := s.cache.Get(hash); ok {
-		return data, true
-	}
 	if s.st == nil {
-		return nil, false
+		return s.cache.Get(hash)
 	}
 	data, ok, err := s.st.Results.Get(hash)
 	if err != nil {
 		s.mStoreErrors.Inc()
 		return nil, false
 	}
-	if !ok {
-		return nil, false
-	}
-	s.cache.Put(hash, data)
-	return data, true
+	return data, ok
 }
 
-// persistResult durably stores a freshly simulated result payload before
-// its journal record is appended (write ordering is what guarantees
-// replay never claims a result it does not have).
-func (s *Server) persistResult(hash string, data []byte) {
+// keepResult writes a result payload into the daemon's result home. A
+// durable daemon returns the store's error (counted in
+// serve/store_errors): such a run is not done, because a journal replay
+// would claim bytes the store never got. An in-memory daemon never
+// fails; its LRU may later evict the bytes.
+func (s *Server) keepResult(hash string, data []byte) error {
 	if s.st == nil {
-		return
+		s.cache.Put(hash, data)
+		return nil
 	}
 	if err := s.st.Results.Put(hash, data); err != nil {
 		s.mStoreErrors.Inc()
+		return fmt.Errorf("serve: result store: %w", err)
 	}
+	return nil
 }
 
-// resultFor returns run i's payload, rehydrating restored jobs from the
-// result store on first access.
+// resultFor returns run i's payload, or nil while the run has none or
+// once an in-memory daemon's LRU has evicted it.
 func (s *Server) resultFor(j *Job, i int) []byte {
-	if data := j.result(i); data != nil {
-		return data
-	}
 	rs, ok := j.run(i)
 	if !ok || (rs.State != RunDone && rs.State != RunCached && rs.State != RunPredicted) {
 		return nil
 	}
-	data, ok := s.lookupResult(rs.ConfigHash)
-	if !ok {
-		return nil
-	}
-	j.restoreResult(i, data)
+	data, _ := s.lookupResult(rs.ConfigHash)
 	return data
 }
 

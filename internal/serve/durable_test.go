@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -312,5 +315,53 @@ func TestJournalCompactionOnBoot(t *testing.T) {
 		if j.State != JobDone {
 			t.Fatalf("job %s restored as %s, want done", j.ID, j.State)
 		}
+	}
+}
+
+// TestRunFailsWhenResultStoreFails: a run is done only once its bytes
+// are kept. With the result store's directory replaced by a regular file
+// (a permission change would not stop a root daemon), every result write
+// fails: the run must fail with the store error, count
+// serve/store_errors, and leave no "done" record in the journal for a
+// replay to trust.
+func TestRunFailsWhenResultStoreFails(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	s, ts := newTestServer(t, Options{DataDir: dir, Registry: reg, Fsync: "always"})
+	results := filepath.Join(dir, "results")
+	if err := os.RemoveAll(results); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(results, []byte("not a directory"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	job := submit(t, ts, tinySpec(7, 2))
+	waitState(t, ts, job.ID, JobFailed)
+	var st JobStatus
+	getJSON(t, ts, "/jobs/"+job.ID, &st)
+	if r := st.Runs[0]; r.State != RunFailed || !strings.Contains(r.Error, "result store") {
+		t.Fatalf("run 0 = %+v, want failed with the result store's error", r)
+	}
+	if got := reg.Counter(MetricStoreErrors).Value(); got == 0 {
+		t.Fatal("serve/store_errors = 0 after a failed result write")
+	}
+
+	ts.Close()
+	shutdownNow(t, s)
+	jr, err := store.OpenJournal(store.JournalOptions{Dir: filepath.Join(dir, "journal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	err = jr.Replay(func(payload []byte) error {
+		var rec journalRecord
+		if json.Unmarshal(payload, &rec) == nil && rec.Type == recRun && rec.Job == job.ID && rec.State == RunDone {
+			t.Errorf("journal claims run %d done without its bytes: %s", rec.Run, payload)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

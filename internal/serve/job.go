@@ -56,7 +56,9 @@ type Event struct {
 	Error     string   `json:"error,omitempty"`
 }
 
-// Job is one submitted campaign moving through the queue.
+// Job is one submitted campaign moving through the queue. It keeps run
+// states and config hashes only: a run's result bytes live in the
+// daemon's one result home, addressed by the run's config hash.
 type Job struct {
 	ID    string
 	Specs []ConfigSpec
@@ -68,7 +70,6 @@ type Job struct {
 	state     JobState
 	hashes    []string
 	runs      []RunStatus
-	results   [][]byte // marshaled RunView per run; nil until available
 	completed int
 	cached    int
 	failed    int
@@ -100,7 +101,6 @@ func newJob(parent context.Context, id string, specs []ConfigSpec, hashes []stri
 		state:     JobQueued,
 		hashes:    hashes,
 		runs:      make([]RunStatus, len(hashes)),
-		results:   make([][]byte, len(hashes)),
 		submitted: time.Now(),
 		changed:   make(chan struct{}),
 	}
@@ -114,8 +114,8 @@ func newJob(parent context.Context, id string, specs []ConfigSpec, hashes []stri
 // run table is taken as journaled (with any still-pending runs marked
 // skipped — a job can only be terminal-with-pending if its finished
 // record was written by a crash-interrupted compaction) and the
-// counters are recomputed from it. Result payloads are not restored
-// eagerly: they rehydrate lazily from the result store on first access.
+// counters are recomputed from it. Like every job, it holds no result
+// bytes: reads go to the daemon's result store by config hash.
 func restoreJob(parent context.Context, id string, specs []ConfigSpec, hashes []string, runs []RunStatus, state JobState, errMsg string) *Job {
 	ctx, cancel := context.WithCancel(parent)
 	j := &Job{
@@ -126,7 +126,6 @@ func restoreJob(parent context.Context, id string, specs []ConfigSpec, hashes []
 		state:     state,
 		hashes:    hashes,
 		runs:      append([]RunStatus(nil), runs...),
-		results:   make([][]byte, len(runs)),
 		errMsg:    errMsg,
 		submitted: time.Now(),
 		finished:  time.Now(),
@@ -239,10 +238,9 @@ func (j *Job) finish(state JobState, errMsg string) bool {
 }
 
 // setRunCached records a cache hit for run i.
-func (j *Job) setRunCached(i int, data []byte) {
+func (j *Job) setRunCached(i int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.results[i] = data
 	j.runs[i].State = RunCached
 	j.completed++
 	j.cached++
@@ -250,20 +248,18 @@ func (j *Job) setRunCached(i int, data []byte) {
 }
 
 // setRunDone records a freshly simulated result for run i.
-func (j *Job) setRunDone(i int, data []byte) {
+func (j *Job) setRunDone(i int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.results[i] = data
 	j.runs[i].State = RunDone
 	j.completed++
 	j.publishLocked("progress")
 }
 
 // setRunPredicted records a run resolved predicted-only by triage.
-func (j *Job) setRunPredicted(i int, data []byte) {
+func (j *Job) setRunPredicted(i int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.results[i] = data
 	j.runs[i].State = RunPredicted
 	j.completed++
 	j.predicted++
@@ -324,16 +320,6 @@ func (j *Job) eventsSince(i int) (evs []Event, changed <-chan struct{}, terminal
 	return evs, j.changed, j.state.terminal()
 }
 
-// result returns run i's marshaled RunView, or nil if unavailable.
-func (j *Job) result(i int) []byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if i < 0 || i >= len(j.results) {
-		return nil
-	}
-	return j.results[i]
-}
-
 // run returns run i's status snapshot.
 func (j *Job) run(i int) (RunStatus, bool) {
 	j.mu.Lock()
@@ -342,17 +328,6 @@ func (j *Job) run(i int) (RunStatus, bool) {
 		return RunStatus{}, false
 	}
 	return j.runs[i], true
-}
-
-// restoreResult rehydrates run i's payload from the result store
-// (restored jobs hold no bytes until first access). It never overwrites
-// a payload that is already in memory.
-func (j *Job) restoreResult(i int, data []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if i >= 0 && i < len(j.results) && j.results[i] == nil {
-		j.results[i] = data
-	}
 }
 
 // JobStatus is the wire form of a job's full state.

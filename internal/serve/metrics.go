@@ -4,14 +4,19 @@ package serve
 // sim/* and thermal/* metrics the runs themselves record (the registry
 // is shared with every campaign the server executes).
 const (
-	// MetricCacheHits / MetricCacheMisses count result-cache lookups at
-	// job start; MetricCacheEvictions counts entries dropped to respect
-	// the byte budget.
+	// MetricCacheHits / MetricCacheMisses count the runs a daemon found
+	// or did not find in its result home where it decides to simulate:
+	// once per run in a job's cache pass, and once per run a worker is
+	// dispatched. They mean the same with or without a result store, and
+	// reading results back never counts. MetricCacheEvictions counts LRU
+	// entries dropped to respect the byte budget.
 	MetricCacheHits      = "serve/cache_hits"
 	MetricCacheMisses    = "serve/cache_misses"
 	MetricCacheEvictions = "serve/cache_evictions"
-	// MetricCacheBytes / MetricCacheEntries gauge the cache's current
-	// footprint.
+	// MetricCacheBytes / MetricCacheEntries gauge the LRU's current
+	// footprint: an in-memory daemon's result payloads, bounded by
+	// Options.CacheBytes. Both stay 0 on a durable daemon, whose results
+	// live only in the on-disk store.
 	MetricCacheBytes   = "serve/cache_bytes"
 	MetricCacheEntries = "serve/cache_entries"
 
@@ -55,8 +60,9 @@ const (
 	// MetricStoreErrors counts durability I/O failures on the serving
 	// path: journal appends, result-store reads/writes, and compaction.
 	// Non-zero means the daemon is running degraded (jobs still execute,
-	// but a crash may lose their records) — /healthz reports
-	// "store": "degraded" while the journal's sticky error is set.
+	// but a crash may lose their records; a run whose result cannot be
+	// written fails) — /healthz reports "store": "degraded" while the
+	// journal's sticky error is set.
 	MetricStoreErrors = "serve/store_errors"
 	// MetricRecoveredJobs counts jobs restored by startup journal
 	// replay: terminal jobs come back read-only, jobs that were queued

@@ -36,7 +36,10 @@ type Options struct {
 	// of its jobs and, separately, across the runs it executes as a
 	// cluster worker (0 = GOMAXPROCS).
 	RunWorkers int
-	// CacheBytes is the result cache's payload budget (default 64 MiB).
+	// CacheBytes bounds an in-memory daemon's result payloads (default
+	// 64 MiB): the LRU is where such a daemon keeps every result, so a
+	// finished job's result answers only while the LRU holds it. Unused
+	// with DataDir, where the result store is the one home of the bytes.
 	CacheBytes int64
 	// Registry receives every serve/* metric plus the sim/* metrics of
 	// the runs the server executes (nil = a fresh registry).
@@ -146,11 +149,14 @@ type Options struct {
 }
 
 // Server is the campaign service: an http.Handler exposing the job API
-// plus the queue, worker pool and result cache behind it. Create with
+// plus the queue, worker pool and result home behind it. Create with
 // New, serve with net/http, stop with Shutdown.
 type Server struct {
-	opts  Options
-	reg   *obs.Registry
+	opts Options
+	reg  *obs.Registry
+	// cache is the result home of an in-memory daemon. A durable daemon
+	// keeps result bytes only in st's result store and leaves cache
+	// empty; lookupResult and keepResult pick between the two.
 	cache *resultCache
 	mux   *http.ServeMux
 
@@ -191,7 +197,7 @@ type Server struct {
 	queueDepth, inflight                                *obs.Gauge
 	mSubmitted, mRejected                               *obs.Counter
 	mCompleted, mFailed, mCancelled, mExecuted, mCached *obs.Counter
-	mPredicted                                          *obs.Counter
+	mPredicted, mCacheHits, mCacheMisses                *obs.Counter
 	mTimeouts, mBodyRejected                            *obs.Counter
 	mStoreErrors, mRecovered, mDeduped                  *obs.Counter
 	mOrphanLeases                                       *obs.Counter
@@ -258,6 +264,8 @@ func New(opts Options) (*Server, error) {
 		mExecuted:     opts.Registry.Counter(MetricRunsExecuted),
 		mCached:       opts.Registry.Counter(MetricRunsCached),
 		mPredicted:    opts.Registry.Counter(MetricRunsPredicted),
+		mCacheHits:    opts.Registry.Counter(MetricCacheHits),
+		mCacheMisses:  opts.Registry.Counter(MetricCacheMisses),
 		mTimeouts:     opts.Registry.Counter(MetricTimeouts),
 		mBodyRejected: opts.Registry.Counter(MetricBodyRejected),
 		mStoreErrors:  opts.Registry.Counter(MetricStoreErrors),
@@ -457,13 +465,13 @@ func (s *Server) worker() {
 var errJobTimeout = errors.New("serve: job exceeded its deadline")
 
 // runJob executes one job: a cache pass first, then a triage pass, then
-// the remaining misses go through the coordinator (executeMisses) with
-// per-run results streamed into the job (and the cache) as they
-// complete. Faults stay contained: a run that panics, diverges, retries
-// out, or trips its per-run deadline fails alone (sim.RunCtx converts
-// panics into per-run *PanicErrors), and the job-level deadline cuts the
-// whole campaign at the next step boundary — the worker, and the daemon
-// behind it, keep serving either way.
+// the remaining misses go through the coordinator (executeMisses), each
+// result kept in the daemon's result home and its run state streamed
+// into the job as it completes. Faults stay contained: a run that
+// panics, diverges, retries out, or trips its per-run deadline fails
+// alone (sim.RunCtx converts panics into per-run *PanicErrors), and the
+// job-level deadline cuts the whole campaign at the next step boundary
+// — the worker, and the daemon behind it, keep serving either way.
 func (s *Server) runJob(j *Job) {
 	if j.ctx.Err() != nil || j.State().terminal() {
 		s.finishJob(j, JobCancelled, "cancelled while queued", s.mCancelled)
@@ -488,16 +496,18 @@ func (s *Server) runJob(j *Job) {
 		}
 	}
 
-	// The cache pass consults the in-memory LRU and, behind it, the
-	// on-disk result store — which is how a requeued recovered job skips
-	// every run that already completed before the crash.
+	// The cache pass consults the daemon's result home — on a durable
+	// daemon the on-disk store, which is how a requeued recovered job
+	// skips every run that already completed before the crash.
 	var missIdx []int
 	for i, h := range j.hashes {
-		if data, ok := s.lookupResult(h); ok {
+		if _, ok := s.lookupResult(h); ok {
+			s.mCacheHits.Inc()
 			s.mCached.Inc()
-			j.setRunCached(i, data)
+			j.setRunCached(i)
 			s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i, State: RunCached})
 		} else {
+			s.mCacheMisses.Inc()
 			missIdx = append(missIdx, i)
 		}
 	}
@@ -505,9 +515,9 @@ func (s *Server) runJob(j *Job) {
 	// Predict-first triage: surrogate-flagged cache misses are scored
 	// before any execution. Runs the model confidently places clearly
 	// below the hotspot threshold resolve as predicted-only results —
-	// cached, persisted and journaled like any other payload (their
-	// content hash includes the triage knobs, so they can never shadow an
-	// exact result's address) — and only the rest execute. Audit-selected
+	// kept and journaled like any other payload (their content hash
+	// includes the triage knobs, so they can never shadow an exact
+	// result's address) — and only the rest execute. Audit-selected
 	// decisions are kept so their exact results can be scored against the
 	// predictions. A job holds specs only: the config is materialized for
 	// scoring and then dropped, and a spec that no longer materializes is
@@ -535,10 +545,12 @@ func (s *Server) runJob(j *Job) {
 				kept = append(kept, i) // unrepresentable prediction: run exactly
 				continue
 			}
-			s.cache.Put(j.hashes[i], data)
-			s.persistResult(j.hashes[i], data)
+			if err := s.keepResult(j.hashes[i], data); err != nil {
+				s.runFailed(j, i, err)
+				continue
+			}
 			s.mPredicted.Inc()
-			j.setRunPredicted(i, data)
+			j.setRunPredicted(i)
 			s.journalRec(journalRecord{Type: recRun, Job: j.ID, Run: i, State: RunPredicted})
 		}
 		missIdx = kept
@@ -564,12 +576,8 @@ func (s *Server) runJob(j *Job) {
 // given (seed, run index) pair always misbehaves the same way.
 func injectFaults(rate float64, seed int64) func(int, sim.Config) sim.Config {
 	return func(i int, cfg sim.Config) sim.Config {
-		inner := cfg.Solver
-		if inner == nil {
-			inner = &thermal.Explicit{}
-		}
 		cfg.Solver = &fault.FlakySolver{
-			Inner:     inner,
+			Inner:     cfg.Solver,
 			Seed:      seed + int64(i),
 			PanicRate: rate / 3,
 			ErrorRate: rate / 3,
@@ -866,10 +874,10 @@ func (s *Server) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	}
 	data := s.resultFor(j, i)
 	if data == nil {
-		httpError(w, http.StatusNotFound, "result not available (run pending, failed or skipped)")
+		httpError(w, http.StatusNotFound, "result not available (run pending, failed or skipped, or evicted from the in-memory cache)")
 		return
 	}
-	// The cached bytes are served verbatim: a repeat submission's
+	// The kept bytes are served verbatim: a repeat submission's
 	// response is byte-identical to the original.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)

@@ -30,6 +30,9 @@ type rasterCache struct {
 	// (grid layer × NX×NY); cell indices stay plane-local so the same
 	// cache injects into per-plane power frames.
 	base int
+	// means is unitMeans' result, refilled in place every step: its key
+	// set, the units with covered area, is fixed for the run.
+	means map[string]float64
 }
 
 type unitCells struct {
@@ -116,9 +119,13 @@ func (rc *rasterCache) inject(powerField *geometry.Field, res power.Result) {
 }
 
 // unitMeans returns the area-weighted mean junction temperature of every
-// unit, for the leakage feedback path.
-func (rc *rasterCache) unitMeans(grid *thermal.Grid, state *thermal.State) map[string]float64 {
-	out := make(map[string]float64, len(rc.units))
+// unit, for the leakage feedback path. The map is the cache's own and is
+// overwritten by the next call.
+func (rc *rasterCache) unitMeans(state *thermal.State) map[string]float64 {
+	if rc.means == nil {
+		rc.means = make(map[string]float64, len(rc.units))
+	}
+	out := rc.means
 	for _, uc := range rc.units {
 		if uc.area == 0 {
 			continue

@@ -295,7 +295,7 @@ func RunCtx(ctx context.Context, cfg Config) (res *Result, err error) {
 		powerSpan := m.power.Start()
 		in.TempDefault = cfg.Ambient
 		if !cfg.DisableLeakageFeedback {
-			in.UnitTemp = raster.unitMeans(grid, state)
+			in.UnitTemp = raster.unitMeans(state)
 		}
 		pr := pm.Compute(in)
 

@@ -5,8 +5,9 @@
 # scratch port, waits for /healthz, submits a tiny two-run §IV-A-style
 # campaign (gcc at 7 nm and 14 nm), polls the job to completion,
 # resubmits the identical campaign, and asserts that the second pass was
-# served entirely from the result cache (serve/cache_hits > 0 at
-# /metrics, state "done" with all runs cached).
+# served entirely from the on-disk result store (serve/cache_hits >= 2
+# at /metrics, state "done" with all runs cached), and that the durable
+# daemon holds no payload copy in memory (/healthz cache_entries == 0).
 #
 # Then the restart-and-resume leg: the daemon is stopped and restarted
 # on the same data dir, and the script asserts the finished job is still
@@ -103,6 +104,9 @@ echo "${STATUS2}" | jq -e '.cached == 2' >/dev/null \
 METRICS="$(curl -fsS "${BASE}/metrics")"
 echo "${METRICS}" | jq -e '.counters["serve/cache_hits"] >= 2' >/dev/null \
     || { echo "${METRICS}" | jq .counters >&2; fail "serve/cache_hits not >= 2"; }
+# A durable daemon keeps result bytes only in its store, never in the LRU.
+curl -fsS "${BASE}/healthz" | jq -e '.cache_entries == 0' >/dev/null \
+    || { curl -fsS "${BASE}/healthz" >&2; fail "durable daemon holds result payloads in memory (cache_entries != 0)"; }
 echo "${METRICS}" | jq -e '.counters["serve/runs_executed"] == 2' >/dev/null \
     || { echo "${METRICS}" | jq .counters >&2; fail "cache hit re-ran the simulator"; }
 
